@@ -7,7 +7,7 @@ unit, memory controller, PCIe, ICI, DMA) — is fixed for a given
 :class:`~repro.arch.component.ModelContext` and *preset family*.
 :class:`TechSubstrate` evaluates all of that exactly once, using the
 *real* scalar models, so the array kernels in :mod:`repro.batch.kernels`
-only have to transcribe the point-dependent closed forms.
+only have to evaluate the point-dependent closed forms.
 
 Two families are modeled: ``"datacenter"`` (the int8 inference preset of
 Table I) and ``"training"`` (the bf16/fp32 TPU-v2-class preset).  Each

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.tech.node import TechNode
 from repro.units import fj_to_pj, nw_to_w, ps_to_ns, um2_to_mm2
@@ -28,7 +30,8 @@ class DffBank:
 
     Attributes:
         name: Label used in breakdown reports.
-        bits: Number of flip-flops.
+        bits: Number of flip-flops (an array of counts broadcasts through
+            the area/energy/leakage methods).
         data_activity: Fraction of bits that toggle on an active cycle.
         clock_gated: Whether the clock tree into the bank is gated when the
             bank is idle (ML accelerators commonly gate large FIFOs).
@@ -40,7 +43,7 @@ class DffBank:
     clock_gated: bool = True
 
     def __post_init__(self) -> None:
-        if self.bits < 0:
+        if np.any(self.bits < 0):
             raise ConfigurationError(
                 f"negative bit count in DFF bank {self.name!r}"
             )

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.tech.node import TechNode
 from repro.units import fj_to_pj, nw_to_w, ps_to_ns, um2_to_mm2
@@ -29,7 +31,8 @@ class LogicBlock:
 
     Attributes:
         name: Label used in breakdown reports.
-        gate_count: NAND2-equivalent gates in the block.
+        gate_count: NAND2-equivalent gates in the block (an array of
+            counts broadcasts through the area/energy/leakage methods).
         activity: Fraction of gates toggling per active cycle.
         logic_depth: Gate levels on the block's critical path, used for the
             cycle-time contribution.
@@ -41,7 +44,7 @@ class LogicBlock:
     logic_depth: int = 12
 
     def __post_init__(self) -> None:
-        if self.gate_count < 0:
+        if np.any(self.gate_count < 0):
             raise ConfigurationError(
                 f"negative gate count in block {self.name!r}"
             )
@@ -103,16 +106,22 @@ def buffer_chain_energy_pj(tech: TechNode, load_ff: float) -> float:
     return fj_to_pj((4.0 / 3.0) * load_ff * tech.vdd_v**2)
 
 
-def decoder_gate_count(address_bits: int) -> int:
+def address_width(words):
+    """Address bits selecting one of ``words`` rows (at least one)."""
+    bits = np.maximum(1, np.ceil(np.log2(np.maximum(words, 2))))
+    return int(bits) if np.ndim(bits) == 0 else bits
+
+
+def decoder_gate_count(address_bits):
     """NAND2-equivalent gates of an ``address_bits``-input row decoder.
 
     Predecode plus a final NOR stage: roughly two gates per output word line
-    plus the predecoder, the standard CACTI first-order count.
+    plus the predecoder, the standard CACTI first-order count.  Broadcasts
+    over arrays of widths; a scalar width gives an ``int``.
     """
-    if address_bits < 0:
+    if np.any(address_bits < 0):
         raise ConfigurationError(f"negative address width: {address_bits}")
-    if address_bits == 0:
-        return 1
-    outputs = 2**address_bits
-    predecode = 4 * address_bits
-    return predecode + 2 * outputs
+    gates = np.where(
+        address_bits == 0, 1, 4 * address_bits + 2 * 2**address_bits
+    )
+    return int(gates) if gates.ndim == 0 else gates

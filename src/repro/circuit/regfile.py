@@ -10,13 +10,14 @@ and 24.9% of core power).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.circuit.gates import LogicBlock, decoder_gate_count
+import numpy as np
+
+from repro.circuit.gates import LogicBlock, address_width, decoder_gate_count
 from repro.errors import ConfigurationError
 from repro.tech.node import TechNode
-from repro.units import fj_to_pj, nw_to_w, ps_to_ns, um2_to_mm2
+from repro.units import as_plain, fj_to_pj, nw_to_w, ps_to_ns, um2_to_mm2
 
 #: A 2-port register cell is ~4x a 6T SRAM cell.
 BASE_CELL_SRAM_RATIO = 4.0
@@ -32,6 +33,10 @@ PERIPHERY_OVERHEAD = 1.35
 class RegisterFile:
     """A register file of ``entries`` words of ``word_bits`` bits.
 
+    Every attribute may also be an array: the model methods broadcast, so
+    the batch backend evaluates a whole grid of register files at once.
+    Scalar attributes give plain ``float`` results.
+
     Attributes:
         entries: Number of architectural registers.
         word_bits: Width of each register in bits.
@@ -45,9 +50,9 @@ class RegisterFile:
     write_ports: int
 
     def __post_init__(self) -> None:
-        if self.entries <= 0 or self.word_bits <= 0:
+        if np.any(self.entries <= 0) or np.any(self.word_bits <= 0):
             raise ConfigurationError("register file needs entries and width")
-        if self.read_ports < 1 or self.write_ports < 1:
+        if np.any(self.read_ports < 1) or np.any(self.write_ports < 1):
             raise ConfigurationError(
                 "register file needs at least one read and one write port"
             )
@@ -60,54 +65,50 @@ class RegisterFile:
     def bits(self) -> int:
         return self.entries * self.word_bits
 
-    def _cell_area_um2(self, tech: TechNode) -> float:
-        growth = 1.0 + PORT_PITCH_GROWTH * max(0, self.total_ports - 2)
-        return tech.sram_cell_um2 * BASE_CELL_SRAM_RATIO * growth**2
+    def _growth(self):
+        return 1.0 + PORT_PITCH_GROWTH * np.maximum(0, self.total_ports - 2)
+
+    def _decoder_gates(self):
+        return decoder_gate_count(address_width(self.entries))
 
     def area_mm2(self, tech: TechNode) -> float:
         """Array plus per-port decoders and drivers."""
-        cells = self.bits * self._cell_area_um2(tech)
-        decoder = LogicBlock(
-            "rf-decode",
-            decoder_gate_count(_log2_int(self.entries)) * self.total_ports,
+        growth = self._growth()
+        cell_um2 = (
+            tech.sram_cell_um2 * BASE_CELL_SRAM_RATIO * (growth * growth)
         )
-        periph = decoder.gate_count * tech.gate_area_um2
-        return um2_to_mm2((cells + periph) * PERIPHERY_OVERHEAD)
+        periph_gates = self._decoder_gates() * self.total_ports
+        return as_plain(
+            um2_to_mm2(
+                (self.bits * cell_um2 + periph_gates * tech.gate_area_um2)
+                * PERIPHERY_OVERHEAD
+            )
+        )
+
+    def _access_energy_pj(self, tech: TechNode, bit_fraction: float):
+        per_bit_fj = tech.dff_energy_fj * bit_fraction * self._growth()
+        decode = LogicBlock(
+            "rf-decode", self._decoder_gates()
+        ).energy_per_cycle_pj(tech)
+        return as_plain(fj_to_pj(self.word_bits * per_bit_fj) + decode)
 
     def read_energy_pj(self, tech: TechNode) -> float:
         """Energy of one full-width read on one port."""
-        growth = 1.0 + PORT_PITCH_GROWTH * max(0, self.total_ports - 2)
-        per_bit_fj = tech.dff_energy_fj * 0.30 * growth
-        decode = LogicBlock(
-            "rf-decode", decoder_gate_count(_log2_int(self.entries))
-        ).energy_per_cycle_pj(tech)
-        return fj_to_pj(self.word_bits * per_bit_fj) + decode
+        return self._access_energy_pj(tech, 0.30)
 
     def write_energy_pj(self, tech: TechNode) -> float:
         """Energy of one full-width write on one port."""
-        growth = 1.0 + PORT_PITCH_GROWTH * max(0, self.total_ports - 2)
-        per_bit_fj = tech.dff_energy_fj * 0.55 * growth
-        decode = LogicBlock(
-            "rf-decode", decoder_gate_count(_log2_int(self.entries))
-        ).energy_per_cycle_pj(tech)
-        return fj_to_pj(self.word_bits * per_bit_fj) + decode
+        return self._access_energy_pj(tech, 0.55)
 
     def leakage_w(self, tech: TechNode) -> float:
         """Static power of cells and periphery."""
-        growth = 1.0 + PORT_PITCH_GROWTH * max(0, self.total_ports - 2)
         cell_leak = nw_to_w(
-            self.bits * tech.sram_bit_leak_nw * 2.0 * growth
+            self.bits * tech.sram_bit_leak_nw * 2.0 * self._growth()
         )
-        periph_gates = decoder_gate_count(_log2_int(self.entries)) * (
-            self.total_ports
-        )
-        return cell_leak + nw_to_w(periph_gates * tech.gate_leak_nw)
+        periph_gates = self._decoder_gates() * self.total_ports
+        return as_plain(cell_leak + nw_to_w(periph_gates * tech.gate_leak_nw))
 
     def access_latency_ns(self, tech: TechNode) -> float:
         """Decode + word line + small bitline; register files are fast."""
-        levels = 3 + _log2_int(self.entries)
-        return ps_to_ns(levels * tech.fo4_ps)
-
-
-def _log2_int(value: int) -> int:
-    return max(1, int(math.ceil(math.log2(max(value, 2)))))
+        levels = 3 + address_width(self.entries)
+        return as_plain(ps_to_ns(levels * tech.fo4_ps))

@@ -6,22 +6,27 @@ the low-level parameters (such as the number of banks, the number of the
 read/write ports) via its internal optimizer" (Sec. II).  This module
 implements both halves:
 
-* :class:`SramArray` — the analytical area/energy/latency/leakage model of a
-  concrete organization (banks x subarrays x multi-port cells, with
-  decoders, bitlines, sense amps, and an H-tree output network), and
-* :func:`optimize_sram` — the search over banks, ports, and subarray shape
-  that satisfies :class:`SramRequirements` at minimum area.
+* :func:`sram_physics` — the analytical area/energy/latency/leakage model
+  of an organization (banks x subarrays x multi-port cells, with decoders,
+  bitlines, sense amps, and an H-tree output network).  Every argument
+  broadcasts, so the one implementation serves a single
+  :class:`SramArray` (whose methods are views over it), the optimizer's
+  candidate lattice, and the batch backend's points x candidates blocks;
+* :func:`search_organizations` / :func:`optimize_sram` — the search over
+  banks, ports, and subarray shape that satisfies the requirements at
+  minimum area.
 
 Units follow :mod:`repro.units` (mm^2, pJ, ns, W).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Any, NamedTuple, Optional
 
-from repro.circuit.gates import LogicBlock, decoder_gate_count
+import numpy as np
+
+from repro.circuit.gates import LogicBlock, address_width, decoder_gate_count
 from repro.circuit.rc import ladder_delay_ns
 from repro.tech import calibration
 from repro.errors import ConfigurationError, OptimizationError
@@ -73,8 +78,30 @@ SENSE_ANCHOR_GATE_ENERGY_FJ = 1.70
 CELL_ASPECT = 1.45
 
 SUBARRAY_ROW_CHOICES = (64, 128, 256, 512)
+READ_PORT_CHOICES = (1, 2, 4)
+WRITE_PORT_CHOICES = (1, 2)
 MAX_SUBARRAY_COLS = 512
 MAX_BANKS = 4096
+
+#: The optimizer's candidate lattice as parallel float64 columns, in search
+#: order: banks (1, 2, 4, ..., MAX_BANKS) outermost, then read ports, write
+#: ports and subarray rows.  First-wins tie-breaking depends on the order.
+LATTICE_BANKS, LATTICE_READ_PORTS, LATTICE_WRITE_PORTS, LATTICE_ROWS = (
+    np.array(
+        [
+            (2**k, read_ports, write_ports, rows)
+            for k in range(MAX_BANKS.bit_length())
+            for read_ports in READ_PORT_CHOICES
+            for write_ports in WRITE_PORT_CHOICES
+            for rows in SUBARRAY_ROW_CHOICES
+        ],
+        dtype=np.float64,
+    ).T
+)
+
+#: Requirements searched per block: bounds the points x candidates
+#: temporaries of a batch search to a few MiB.
+SEARCH_BLOCK_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -117,9 +144,196 @@ class SramRequirements:
         return 1.0 / self.freq_ghz
 
 
+class SramPhysics(NamedTuple):
+    """Physics of one organization, or a broadcast array of them.
+
+    Bandwidths are per clock cycle; multiply by the clock in GHz for GB/s.
+    """
+
+    area_mm2: Any
+    read_energy_pj: Any
+    write_energy_pj: Any
+    leakage_w: Any
+    access_latency_ns: Any
+    read_bytes_per_cycle: Any
+    write_bytes_per_cycle: Any
+
+
+def _subarray_cols(block_bytes):
+    """Bit lines per subarray (wide blocks split across subarrays)."""
+    return np.minimum(np.maximum(block_bytes * 8, 32), MAX_SUBARRAY_COLS)
+
+
+def _activated_subarrays(block_bytes):
+    """Subarrays accessed in parallel to deliver one block."""
+    bits = block_bytes * 8
+    return np.maximum(1, np.ceil(bits / _subarray_cols(block_bytes)))
+
+
+def _bytes_per_cycle(banks, read_ports, write_ports, block_bytes):
+    """(read, write) bytes per cycle; without write ports, writes use the
+    read ports."""
+    effective = np.where(write_ports > 0, write_ports, read_ports)
+    return banks * read_ports * block_bytes, banks * effective * block_bytes
+
+
+def sram_physics(
+    tech: TechNode,
+    capacity_bytes,
+    block_bytes,
+    banks,
+    read_ports,
+    write_ports,
+    subarray_rows,
+) -> SramPhysics:
+    """Area, energy, leakage, latency and bandwidth of an organization.
+
+    All organization arguments broadcast against each other; the result
+    fields carry the broadcast shape (0-d for scalar arguments).
+    """
+    capacity, block, banks, read_ports, write_ports, rows = (
+        np.asarray(value, dtype=np.float64)
+        for value in (
+            capacity_bytes,
+            block_bytes,
+            banks,
+            read_ports,
+            write_ports,
+            subarray_rows,
+        )
+    )
+    ports = read_ports + write_ports
+    wire_local = wire_params(tech, WireType.LOCAL)
+    wire_htree = wire_params(tech, WireType.INTERMEDIATE)
+
+    # -- geometry ------------------------------------------------------------
+    cols = _subarray_cols(block)
+    activated = _activated_subarrays(block)
+    bank_bits = capacity * 8 / banks * ECC_REDUNDANCY_FACTOR
+    subarrays = np.maximum(activated, np.ceil(bank_bits / (rows * cols)))
+    growth = 1.0 + PORT_PITCH_GROWTH * (ports - 1)
+    cell_h = np.sqrt(tech.sram_cell_um2 * (growth * growth) / CELL_ASPECT)
+    cell_w = CELL_ASPECT * cell_h
+
+    # -- area ----------------------------------------------------------------
+    control_gates = (
+        decoder_gate_count(address_width(rows)) + SUBARRAY_CONTROL_GATES
+    )
+    # Cells, then column periphery (sense amps, write drivers, precharge,
+    # mux: ~18 cell-heights per port under every column), row periphery
+    # (decoder + word-line drivers: ~12 cell-widths), and control.
+    subarray_um2 = (
+        rows * cols * cell_w * cell_h
+        + cols * cell_w * (18.0 * cell_h) * np.maximum(1, ports)
+        + rows * cell_h * (12.0 * cell_w)
+        + control_gates * tech.gate_area_um2
+    )
+    # Large arrays spend a growing area fraction on the H-tree spine,
+    # repeater farms, and redundancy blocks; small arrays do not.
+    capacity_mib = capacity / MiB
+    global_routing = np.where(
+        capacity_mib <= 1.0,
+        1.0,
+        1.0 + calibration.SRAM_CAPACITY_ROUTING_COEF * np.log2(capacity_mib),
+    )
+    area_mm2 = um2_to_mm2(
+        banks
+        * (subarrays * subarray_um2)
+        * ARRAY_ROUTING_OVERHEAD
+        * global_routing
+    )
+    bank_area_mm2 = area_mm2 / banks
+
+    # -- energy --------------------------------------------------------------
+    bits = block * 8
+    bitline_len_mm = um_to_mm(rows * cell_h)
+    bitline_cap_ff = (
+        rows * tech.sram_cell_cap_ff
+        + bitline_len_mm * wire_local.c_ff_per_mm
+    )
+    wordline_len_mm = um_to_mm(cols * cell_w)
+    wordline_pj = fj_to_pj(
+        (
+            cols * tech.gate_cap_ff * 0.5
+            + wordline_len_mm * wire_local.c_ff_per_mm
+        )
+        * tech.vdd_v**2
+    )
+    decode_pj = activated * LogicBlock(
+        "decode", control_gates
+    ).energy_per_cycle_pj(tech)
+    # The average access traverses most of the bank span (data plus the
+    # address/select fan-out travelling the other way).
+    htree_pj = bits * wire_energy_pj_per_bit(
+        tech, wire_htree, 0.9 * np.sqrt(bank_area_mm2)
+    )
+    read_energy_pj = (
+        fj_to_pj(
+            bits * bitline_cap_ff * tech.vdd_v * (READ_SWING * tech.vdd_v)
+        )
+        + fj_to_pj(
+            bits
+            * SENSE_ENERGY_FJ_45NM
+            * tech.gate_energy_fj
+            / SENSE_ANCHOR_GATE_ENERGY_FJ
+        )
+        + activated * wordline_pj
+        + decode_pj
+        + htree_pj
+    ) * calibration.SRAM_ACCESS_OVERHEAD
+    write_energy_pj = (
+        fj_to_pj(bits * bitline_cap_ff * tech.vdd_v**2)
+        + activated * wordline_pj
+        + decode_pj
+        + htree_pj
+    ) * calibration.SRAM_ACCESS_OVERHEAD
+
+    # -- leakage: cells (with port growth) plus periphery gates ---------------
+    stored_bits = capacity * 8 * ECC_REDUNDANCY_FACTOR
+    port_growth = 1.0 + 0.5 * PORT_PITCH_GROWTH * (ports - 1)
+    cell_leak_w = nw_to_w(stored_bits * tech.sram_bit_leak_nw * port_growth)
+    periph_um2 = (
+        mm2_to_um2(area_mm2)
+        - stored_bits * tech.sram_cell_um2 * port_growth
+    )
+    periph_gates = np.maximum(periph_um2, 0.0) / tech.gate_area_um2
+    # Periphery is mostly idle wire/drivers; count a third as leaky gates.
+    leakage_w = cell_leak_w + nw_to_w(periph_gates * tech.gate_leak_nw) / 3.0
+
+    # -- random-access read: decode + word line + bit line + output ----------
+    decode_ns = ps_to_ns((2 + address_width(rows)) * tech.fo4_ps)
+    wordline_ns = ladder_delay_ns(
+        total_resistance_ohm=wordline_len_mm * wire_local.r_ohm_per_mm,
+        total_capacitance_ff=wordline_len_mm * wire_local.c_ff_per_mm
+        + cols * tech.gate_cap_ff * 0.5,
+        driver_ohm=WORDLINE_DRIVER_OHM,
+    )
+    bitline_ns = ladder_delay_ns(
+        total_resistance_ohm=bitline_len_mm * wire_local.r_ohm_per_mm,
+        total_capacitance_ff=bitline_cap_ff,
+        driver_ohm=CELL_ON_RESISTANCE_OHM,
+    ) * READ_SWING  # sense amps fire at the small-swing point
+    sense_ns = ps_to_ns(2.0 * tech.fo4_ps)
+    output_ns = repeated_wire_delay_ns(
+        tech, wire_htree, 0.5 * np.sqrt(bank_area_mm2)
+    )
+    latency_ns = decode_ns + wordline_ns + bitline_ns + sense_ns + output_ns
+
+    return SramPhysics(
+        area_mm2,
+        read_energy_pj,
+        write_energy_pj,
+        leakage_w,
+        latency_ns,
+        *_bytes_per_cycle(banks, read_ports, write_ports, block),
+    )
+
+
 @dataclass(frozen=True)
 class SramArray:
     """A concrete multi-bank, multi-port SRAM organization.
+
+    The model methods are views over :func:`sram_physics`.
 
     Attributes:
         capacity_bytes: Logical capacity of the whole array.
@@ -156,252 +370,180 @@ class SramArray:
         return self.read_ports + self.write_ports
 
     @property
-    def bank_bits(self) -> float:
-        """Stored bits per bank including ECC/redundancy."""
-        logical = self.capacity_bytes * 8 / self.banks
-        return logical * ECC_REDUNDANCY_FACTOR
-
-    @property
     def subarray_cols(self) -> int:
         """Bit lines per subarray (wide blocks split across subarrays)."""
-        return min(max(self.block_bytes * 8, 32), MAX_SUBARRAY_COLS)
+        return int(_subarray_cols(self.block_bytes))
 
     @property
     def activated_subarrays(self) -> int:
         """Subarrays accessed in parallel to deliver one block."""
-        return max(1, math.ceil(self.block_bytes * 8 / self.subarray_cols))
+        return int(_activated_subarrays(self.block_bytes))
 
-    @property
-    def subarrays_per_bank(self) -> int:
-        per_subarray = self.subarray_rows * self.subarray_cols
-        return max(
-            self.activated_subarrays,
-            math.ceil(self.bank_bits / per_subarray),
-        )
-
-    def _cell_dims_um(self, tech: TechNode) -> tuple[float, float]:
-        """(width, height) of one multi-port cell in um."""
-        growth = 1.0 + PORT_PITCH_GROWTH * (self.total_ports - 1)
-        area = tech.sram_cell_um2 * growth**2
-        height = math.sqrt(area / CELL_ASPECT)
-        return (CELL_ASPECT * height, height)
-
-    # -- area ------------------------------------------------------------------
-
-    def _subarray_area_um2(self, tech: TechNode) -> float:
-        """One subarray: cells plus row/column periphery."""
-        cell_w, cell_h = self._cell_dims_um(tech)
-        rows, cols = self.subarray_rows, self.subarray_cols
-        cell_area = rows * cols * cell_w * cell_h
-        # Column periphery (sense amps, write drivers, precharge, mux) per
-        # port pair: ~18 cell-heights tall under every column.
-        column_periph = cols * cell_w * (18.0 * cell_h) * max(
-            1, self.total_ports
-        )
-        # Row periphery (decoder + word-line drivers): ~12 cell-widths wide.
-        row_periph = rows * cell_h * (12.0 * cell_w)
-        control = LogicBlock(
-            "subarray-ctrl",
-            decoder_gate_count(_log2_int(rows)) + SUBARRAY_CONTROL_GATES,
-        )
-        return cell_area + column_periph + row_periph + control.gate_count * (
-            tech.gate_area_um2
-        )
-
-    def _global_routing_factor(self) -> float:
-        """Capacity-dependent global routing / redundancy overhead.
-
-        Large arrays spend a growing area fraction on the H-tree spine,
-        repeater farms, and redundancy blocks; small arrays do not.
-        """
-        capacity_mib = self.capacity_bytes / MiB
-        if capacity_mib <= 1.0:
-            return 1.0
-        return 1.0 + calibration.SRAM_CAPACITY_ROUTING_COEF * math.log2(
-            capacity_mib
+    def physics(self, tech: TechNode) -> SramPhysics:
+        """This organization's physics at ``tech``, as plain floats."""
+        return SramPhysics(
+            *(
+                float(value)
+                for value in sram_physics(
+                    tech,
+                    self.capacity_bytes,
+                    self.block_bytes,
+                    self.banks,
+                    self.read_ports,
+                    self.write_ports,
+                    self.subarray_rows,
+                )
+            )
         )
 
     def area_mm2(self, tech: TechNode) -> float:
         """Total array area including inter-bank routing overhead."""
-        per_bank = self.subarrays_per_bank * self._subarray_area_um2(tech)
-        total_um2 = (
-            self.banks
-            * per_bank
-            * ARRAY_ROUTING_OVERHEAD
-            * self._global_routing_factor()
-        )
-        return um2_to_mm2(total_um2)
-
-    def bank_area_mm2(self, tech: TechNode) -> float:
-        """Area of a single bank (for wire-length estimates)."""
-        return self.area_mm2(tech) / self.banks
-
-    # -- energy ------------------------------------------------------------------
-
-    def _bitline_cap_ff(self, tech: TechNode) -> float:
-        _, cell_h = self._cell_dims_um(tech)
-        length_mm = um_to_mm(self.subarray_rows * cell_h)
-        wire = wire_params(tech, WireType.LOCAL)
-        return (
-            self.subarray_rows * tech.sram_cell_cap_ff
-            + length_mm * wire.c_ff_per_mm
-        )
-
-    def _wordline_energy_pj(self, tech: TechNode) -> float:
-        cell_w, _ = self._cell_dims_um(tech)
-        wire = wire_params(tech, WireType.LOCAL)
-        length_mm = um_to_mm(self.subarray_cols * cell_w)
-        cap_ff = (
-            self.subarray_cols * tech.gate_cap_ff * 0.5
-            + length_mm * wire.c_ff_per_mm
-        )
-        return fj_to_pj(cap_ff * tech.vdd_v**2)
-
-    def _htree_energy_pj(self, tech: TechNode, bits: int) -> float:
-        """Moving a block between the bank edge and the subarray.
-
-        The average access traverses most of the bank span (data plus the
-        address/select fan-out travelling the other way).
-        """
-        wire = wire_params(tech, WireType.INTERMEDIATE)
-        length_mm = 0.9 * math.sqrt(self.bank_area_mm2(tech))
-        return bits * wire_energy_pj_per_bit(tech, wire, length_mm)
+        return self.physics(tech).area_mm2
 
     def read_energy_pj(self, tech: TechNode) -> float:
         """Dynamic energy of one block read from one bank."""
-        bits = self.block_bytes * 8
-        bitline = fj_to_pj(
-            bits
-            * self._bitline_cap_ff(tech)
-            * tech.vdd_v
-            * (READ_SWING * tech.vdd_v)
-        )
-        sense = fj_to_pj(
-            bits
-            * SENSE_ENERGY_FJ_45NM
-            * tech.gate_energy_fj
-            / SENSE_ANCHOR_GATE_ENERGY_FJ
-        )
-        decode = self.activated_subarrays * LogicBlock(
-            "decode", decoder_gate_count(_log2_int(self.subarray_rows))
-            + SUBARRAY_CONTROL_GATES
-        ).energy_per_cycle_pj(tech)
-        return (
-            bitline
-            + sense
-            + self.activated_subarrays * self._wordline_energy_pj(tech)
-            + decode
-            + self._htree_energy_pj(tech, bits)
-        ) * calibration.SRAM_ACCESS_OVERHEAD
+        return self.physics(tech).read_energy_pj
 
     def write_energy_pj(self, tech: TechNode) -> float:
         """Dynamic energy of one block write (full bitline swing)."""
-        bits = self.block_bytes * 8
-        bitline = fj_to_pj(
-            bits * self._bitline_cap_ff(tech) * tech.vdd_v**2
-        )
-        decode = self.activated_subarrays * LogicBlock(
-            "decode", decoder_gate_count(_log2_int(self.subarray_rows))
-            + SUBARRAY_CONTROL_GATES
-        ).energy_per_cycle_pj(tech)
-        return (
-            bitline
-            + self.activated_subarrays * self._wordline_energy_pj(tech)
-            + decode
-            + self._htree_energy_pj(tech, bits)
-        ) * calibration.SRAM_ACCESS_OVERHEAD
+        return self.physics(tech).write_energy_pj
 
     def leakage_w(self, tech: TechNode) -> float:
         """Static power: cells (with port growth) plus periphery gates."""
-        stored_bits = self.capacity_bytes * 8 * ECC_REDUNDANCY_FACTOR
-        port_growth = 1.0 + 0.5 * PORT_PITCH_GROWTH * (self.total_ports - 1)
-        cell_leak = nw_to_w(
-            stored_bits * tech.sram_bit_leak_nw * port_growth
-        )
-        periph_area_um2 = (
-            mm2_to_um2(self.area_mm2(tech))
-            - stored_bits * tech.sram_cell_um2 * port_growth
-        )
-        periph_gates = max(periph_area_um2, 0.0) / tech.gate_area_um2
-        # Periphery is mostly idle wire/drivers; count a third as leaky gates.
-        periph_leak = nw_to_w(periph_gates * tech.gate_leak_nw) / 3.0
-        return cell_leak + periph_leak
-
-    # -- timing ------------------------------------------------------------------
+        return self.physics(tech).leakage_w
 
     def access_latency_ns(self, tech: TechNode) -> float:
         """Random-access read latency: decode + word line + bit line + output."""
-        rows, cols = self.subarray_rows, self.subarray_cols
-        decode_ns = ps_to_ns((2 + _log2_int(rows)) * tech.fo4_ps)
-
-        cell_w, cell_h = self._cell_dims_um(tech)
-        wire = wire_params(tech, WireType.LOCAL)
-        wl_len_mm = um_to_mm(cols * cell_w)
-        wordline_ns = ladder_delay_ns(
-            total_resistance_ohm=wl_len_mm * wire.r_ohm_per_mm,
-            total_capacitance_ff=wl_len_mm * wire.c_ff_per_mm
-            + cols * tech.gate_cap_ff * 0.5,
-            driver_ohm=WORDLINE_DRIVER_OHM,
-        )
-
-        bl_len_mm = um_to_mm(rows * cell_h)
-        bitline_ns = ladder_delay_ns(
-            total_resistance_ohm=bl_len_mm * wire.r_ohm_per_mm,
-            total_capacitance_ff=self._bitline_cap_ff(tech),
-            driver_ohm=CELL_ON_RESISTANCE_OHM,
-        ) * READ_SWING  # sense amps fire at the small-swing point
-
-        sense_ns = ps_to_ns(2.0 * tech.fo4_ps)
-        htree = wire_params(tech, WireType.INTERMEDIATE)
-        output_ns = repeated_wire_delay_ns(
-            tech, htree, 0.5 * math.sqrt(self.bank_area_mm2(tech))
-        )
-        return decode_ns + wordline_ns + bitline_ns + sense_ns + output_ns
+        return self.physics(tech).access_latency_ns
 
     def random_cycle_ns(self, tech: TechNode) -> float:
         """Minimum time between two accesses to the same bank."""
         # Precharge overlaps the output H-tree; cycle ~= core access path.
         return self.access_latency_ns(tech) * 1.1
 
-    # -- bandwidth ----------------------------------------------------------------
+    # -- bandwidth -----------------------------------------------------------
 
     def read_bandwidth_gbps(self, freq_ghz: float) -> float:
         """Peak aggregate read bandwidth (GB/s) at ``freq_ghz``."""
-        return self.banks * self.read_ports * self.block_bytes * freq_ghz
+        read, _ = _bytes_per_cycle(
+            self.banks, self.read_ports, self.write_ports, self.block_bytes
+        )
+        return float(read * freq_ghz)
 
     def write_bandwidth_gbps(self, freq_ghz: float) -> float:
         """Peak aggregate write bandwidth (GB/s) at ``freq_ghz``."""
-        effective = self.write_ports if self.write_ports else self.read_ports
-        return self.banks * effective * self.block_bytes * freq_ghz
+        _, write = _bytes_per_cycle(
+            self.banks, self.read_ports, self.write_ports, self.block_bytes
+        )
+        return float(write * freq_ghz)
+
+
+class SramSearch(NamedTuple):
+    """Winning lattice organization per requirement.
+
+    Fields broadcast like the requirements.  Where ``feasible`` is false
+    no candidate met the requirement and the organization fields are NaN
+    (as is :func:`sram_physics` of them).
+    """
+
+    feasible: Any
+    banks: Any
+    read_ports: Any
+    write_ports: Any
+    subarray_rows: Any
+
+
+def search_organizations(
+    tech: TechNode,
+    capacity_bytes,
+    block_bytes,
+    freq_ghz,
+    latency_bound_ns,
+    read_bandwidth_gbps,
+    write_bandwidth_gbps,
+) -> SramSearch:
+    """Minimum-area lattice organization meeting each requirement.
+
+    Every candidate must meet the latency bound and both bandwidth
+    targets; ties in area break toward lower read energy, and exact
+    ``(area, read_energy)`` ties toward the earlier lattice candidate.
+    The requirement arguments broadcast; they are searched in blocks of
+    :data:`SEARCH_BLOCK_POINTS` against the whole lattice at once.
+    """
+    requirements = np.broadcast_arrays(
+        *(
+            np.asarray(value, dtype=np.float64)
+            for value in (
+                capacity_bytes,
+                block_bytes,
+                freq_ghz,
+                latency_bound_ns,
+                read_bandwidth_gbps,
+                write_bandwidth_gbps,
+            )
+        )
+    )
+    shape = requirements[0].shape
+    flat = [value.reshape(-1, 1) for value in requirements]
+    found, winners = [], []
+    for start in range(0, flat[0].shape[0], SEARCH_BLOCK_POINTS):
+        capacity, block, freq, bound, read_target, write_target = (
+            value[start : start + SEARCH_BLOCK_POINTS] for value in flat
+        )
+        physics = sram_physics(
+            tech,
+            capacity,
+            block,
+            LATTICE_BANKS,
+            LATTICE_READ_PORTS,
+            LATTICE_WRITE_PORTS,
+            LATTICE_ROWS,
+        )
+        feasible = (
+            (capacity >= LATTICE_BANKS * block)
+            & (physics.access_latency_ns <= bound)
+            & (physics.read_bytes_per_cycle * freq >= read_target)
+            & (physics.write_bytes_per_cycle * freq >= write_target)
+        )
+        area = np.where(feasible, physics.area_mm2, np.inf)
+        smallest = area == area.min(axis=1, keepdims=True)
+        energy = np.where(smallest, physics.read_energy_pj, np.inf)
+        # argmin returns the first minimum: first-wins in lattice order.
+        winners.append(energy.argmin(axis=1))
+        found.append(feasible.any(axis=1))
+    ok = np.concatenate(found).reshape(shape)
+    choice = np.concatenate(winners).reshape(shape)
+    return SramSearch(
+        ok,
+        *(
+            np.where(ok, column[choice], np.nan)
+            for column in (
+                LATTICE_BANKS,
+                LATTICE_READ_PORTS,
+                LATTICE_WRITE_PORTS,
+                LATTICE_ROWS,
+            )
+        ),
+    )
 
 
 def optimize_sram(requirements: SramRequirements, tech: TechNode) -> SramArray:
     """Search bank/port/subarray organizations and return the smallest one.
 
-    Mirrors NeuroMeter's internal optimizer: every candidate must meet the
-    latency bound and both bandwidth targets; ties in area break toward
-    lower read energy.  Raises :class:`OptimizationError` when no candidate
-    is feasible (e.g. an unreachable latency target).
+    Mirrors NeuroMeter's internal optimizer (see
+    :func:`search_organizations`).  Raises :class:`OptimizationError` when
+    no candidate is feasible (e.g. an unreachable latency target).
     """
-    best: Optional[tuple[float, float, SramArray]] = None
-    for candidate in candidate_organizations(requirements):
-        latency = candidate.access_latency_ns(tech)
-        if latency > requirements.latency_bound_ns:
-            continue
-        if (
-            candidate.read_bandwidth_gbps(requirements.freq_ghz)
-            < requirements.target_read_bandwidth_gbps
-        ):
-            continue
-        if (
-            candidate.write_bandwidth_gbps(requirements.freq_ghz)
-            < requirements.target_write_bandwidth_gbps
-        ):
-            continue
-        key = (candidate.area_mm2(tech), candidate.read_energy_pj(tech))
-        if best is None or key < best[:2]:
-            best = (key[0], key[1], candidate)
-    if best is None:
+    found = search_organizations(
+        tech,
+        requirements.capacity_bytes,
+        requirements.block_bytes,
+        requirements.freq_ghz,
+        requirements.latency_bound_ns,
+        requirements.target_read_bandwidth_gbps,
+        requirements.target_write_bandwidth_gbps,
+    )
+    if not found.feasible:
         raise OptimizationError(
             f"no SRAM organization meets latency "
             f"{requirements.latency_bound_ns:.3f} ns and bandwidth "
@@ -409,34 +551,11 @@ def optimize_sram(requirements: SramRequirements, tech: TechNode) -> SramArray:
             f"{requirements.target_write_bandwidth_gbps:.1f}W GB/s for "
             f"{requirements.capacity_bytes} bytes"
         )
-    return best[2]
-
-
-def candidate_organizations(
-    requirements: SramRequirements,
-) -> Iterator[SramArray]:
-    """The fixed bank/port/subarray lattice the optimizer searches.
-
-    Public so alternative estimation backends (e.g. the vectorized batch
-    kernels) can replicate the search over exactly the same candidates in
-    exactly the same order — first-wins tie-breaking depends on the order.
-    """
-    banks = 1
-    while banks <= MAX_BANKS:
-        if requirements.capacity_bytes >= banks * requirements.block_bytes:
-            for read_ports in (1, 2, 4):
-                for write_ports in (1, 2):
-                    for rows in SUBARRAY_ROW_CHOICES:
-                        yield SramArray(
-                            capacity_bytes=requirements.capacity_bytes,
-                            block_bytes=requirements.block_bytes,
-                            banks=banks,
-                            read_ports=read_ports,
-                            write_ports=write_ports,
-                            subarray_rows=rows,
-                        )
-        banks *= 2
-
-
-def _log2_int(value: int) -> int:
-    return max(1, int(math.ceil(math.log2(max(value, 2)))))
+    return SramArray(
+        capacity_bytes=requirements.capacity_bytes,
+        block_bytes=requirements.block_bytes,
+        banks=int(found.banks),
+        read_ports=int(found.read_ports),
+        write_ports=int(found.write_ports),
+        subarray_rows=int(found.subarray_rows),
+    )

@@ -1289,13 +1289,7 @@ def run_sweep(
             tasks.append(_Task(index=index, point=point))
 
         if tasks and backend != "scalar":
-            use_vector = True
-            if backend == "auto":
-                from repro.batch.estimator import HAVE_NUMPY
-
-                use_vector = HAVE_NUMPY
-            if use_vector:
-                tasks = run.run_vector(tasks, backend)
+            tasks = run.run_vector(tasks, backend)
 
         if pool is not None or jobs > 1 or timeout_s is not None:
             if warm_cache and tasks:

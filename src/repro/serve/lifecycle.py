@@ -114,11 +114,19 @@ async def _serve_until_drained(
 def run_server(
     config: ServeConfig, app: Optional[ServeApp] = None
 ) -> int:
-    """Boot the daemon and block until it drains; returns the exit code."""
+    """Boot the daemon and block until it drains; returns the exit code.
+
+    Closing the event loop drops its drain-signal handlers, so from then
+    on SIGTERM/SIGINT are ignored for the rest of the process: a second
+    signal landing during the final teardown must not turn a clean drain
+    into a kill.
+    """
     app = app if app is not None else ServeApp(config)
     try:
         return asyncio.run(_serve_until_drained(app))
     finally:
+        for signame in ("SIGTERM", "SIGINT"):
+            signal.signal(getattr(signal, signame), signal.SIG_IGN)
         app.close()
         print("neurometer serve: drained, exiting", file=sys.stderr,
               flush=True)

@@ -136,3 +136,13 @@ def dynamic_power_w(energy_per_cycle_pj: float, freq_ghz: float) -> float:
 def tops(macs_per_cycle: float, freq_ghz: float) -> float:
     """Peak tera-operations per second for a MAC throughput and clock rate."""
     return macs_per_cycle * OPS_PER_MAC * freq_ghz / KILO
+
+
+def as_plain(value):
+    """A 0-d result as a plain ``float``; arrays pass through unchanged.
+
+    The circuit and wire closed forms broadcast over NumPy arrays so the
+    batch backend can call them; scalar callers still get ``float``
+    (journals and cache keys ``repr`` these values).
+    """
+    return float(value) if getattr(value, "ndim", 0) == 0 else value

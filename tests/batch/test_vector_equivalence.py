@@ -1,8 +1,8 @@
 """Scalar/vector equivalence and fallback contracts of the batch backend.
 
-The vectorized kernels transcribe the scalar closed forms, so the two
-paths must agree to float round-off (the acceptance bar is 1e-9 relative)
-on the *entire* Table I grid — not a sample.  Unsupported configurations
+The vectorized kernels call the scalar closed forms with arrays, so the
+two paths must agree exactly (``==``) on the *entire* Table I grid — not
+a sample.  Unsupported configurations
 (chips no kernel family transcribes) must be detected and routed through
 the scalar path, and build failures must surface the original error
 instead of masquerading as configuration mismatches.
@@ -31,7 +31,7 @@ from repro.dse.space import TU_LENGTHS, TUS_PER_CORE, DesignPoint, _grids
 from repro.dse.sweep import evaluate_point
 from repro.errors import ConfigurationError, OptimizationError
 
-#: Acceptance tolerance for scalar/vector agreement.
+#: Tolerance of the pinned reference values below.
 RTOL = 1e-9
 
 #: The full unpruned Table I grid: every (X, N, Tx, Ty) combination.
@@ -101,9 +101,10 @@ def test_full_grid_scalar_vector_equivalence():
             continue
         assert summary is not None, f"vector path dropped {point}"
         for name in _METRICS:
-            assert _rel(
-                getattr(summary, name), getattr(reference, name)
-            ) <= RTOL, (point, name)
+            assert getattr(summary, name) == getattr(reference, name), (
+                point,
+                name,
+            )
 
 
 def test_full_grid_pinned_regression():

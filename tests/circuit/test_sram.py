@@ -1,7 +1,9 @@
 """SRAM array model and its internal organization optimizer."""
 
+import numpy as np
 import pytest
 
+from repro.circuit import sram as sram_mod
 from repro.circuit.sram import (
     SramArray,
     SramRequirements,
@@ -218,3 +220,122 @@ class TestRequirements:
             capacity_bytes=1024, block_bytes=8, freq_ghz=2.0
         )
         assert req.latency_bound_ns == pytest.approx(0.5)
+
+
+def _feasible(requirements, tech):
+    """``(key, organization)`` of each feasible lattice candidate, walked
+    one organization at a time in lattice order."""
+    banks = 1
+    while banks <= sram_mod.MAX_BANKS:
+        if requirements.capacity_bytes >= banks * requirements.block_bytes:
+            for read_ports in (1, 2, 4):
+                for write_ports in (1, 2):
+                    for rows in (64, 128, 256, 512):
+                        candidate = SramArray(
+                            requirements.capacity_bytes,
+                            requirements.block_bytes,
+                            banks,
+                            read_ports,
+                            write_ports,
+                            rows,
+                        )
+                        physics = candidate.physics(tech)
+                        freq = requirements.freq_ghz
+                        if (
+                            physics.access_latency_ns
+                            <= requirements.latency_bound_ns
+                            and candidate.read_bandwidth_gbps(freq)
+                            >= requirements.target_read_bandwidth_gbps
+                            and candidate.write_bandwidth_gbps(freq)
+                            >= requirements.target_write_bandwidth_gbps
+                        ):
+                            key = (physics.area_mm2, physics.read_energy_pj)
+                            yield key, candidate
+        banks *= 2
+
+
+def _brute_force(requirements, tech):
+    """Reference search: strict tuple ``<`` over the walk, first wins."""
+    best = None
+    for key, candidate in _feasible(requirements, tech):
+        if best is None or key < best[0]:
+            best = (key, candidate)
+    if best is None:
+        raise OptimizationError(
+            f"no SRAM organization meets latency "
+            f"{requirements.latency_bound_ns:.3f} ns and bandwidth "
+            f"{requirements.target_read_bandwidth_gbps:.1f}R/"
+            f"{requirements.target_write_bandwidth_gbps:.1f}W GB/s for "
+            f"{requirements.capacity_bytes} bytes"
+        )
+    return best[1]
+
+
+def _outcome(search, requirements, tech):
+    try:
+        return search(requirements, tech)
+    except OptimizationError as error:
+        return str(error)
+
+
+#: TPU-v2's VMem at 16 nm: two read ports and one write port per bank.
+_TPU_V2_VMEM = SramRequirements(
+    capacity_bytes=8 << 20,
+    block_bytes=128,
+    freq_ghz=0.7,
+    target_latency_ns=4 / 0.7,
+    target_read_bandwidth_gbps=2 * 128 * 0.7 * 4,
+    target_write_bandwidth_gbps=128 * 0.7 * 4,
+)
+
+_REQUIREMENT_GRID = [
+    (node(nm), SramRequirements(
+        capacity_bytes=capacity,
+        block_bytes=block,
+        freq_ghz=freq,
+        target_latency_ns=4 / freq,
+        target_read_bandwidth_gbps=read,
+        target_write_bandwidth_gbps=read / 2,
+    ))
+    for nm, freq in ((28, 0.7), (7, 2.5))
+    for capacity, block in ((4096, 16), (64 << 10, 256), (24 << 20, 256))
+    for read in (0.0, 700.0, 20_000.0)
+] + [
+    (node(16), _TPU_V2_VMEM),
+    # Unreachable latency: both searches must raise the same error.
+    (node(28), SramRequirements(64 << 20, 256, 0.7, target_latency_ns=0.01)),
+]
+
+
+@pytest.mark.parametrize("tech,requirements", _REQUIREMENT_GRID)
+def test_optimizer_matches_brute_force_walk(tech, requirements):
+    assert _outcome(optimize_sram, requirements, tech) == _outcome(
+        _brute_force, requirements, tech
+    )
+
+
+def test_exact_ties_break_toward_the_earlier_candidate(monkeypatch):
+    """Quantize area and read energy so many candidates tie exactly."""
+    exact = sram_mod.sram_physics
+
+    def coarse(*args):
+        physics = exact(*args)
+        return physics._replace(
+            area_mm2=np.round(physics.area_mm2, 0),
+            read_energy_pj=np.round(physics.read_energy_pj, -2),
+        )
+
+    monkeypatch.setattr(sram_mod, "sram_physics", coarse)
+    tech = node(28)
+    requirements = SramRequirements(
+        capacity_bytes=1 << 20,
+        block_bytes=64,
+        freq_ghz=0.7,
+        target_latency_ns=20.0,
+        target_read_bandwidth_gbps=100.0,
+    )
+    keys = [key for key, _ in _feasible(requirements, tech)]
+    assert keys.count(min(keys)) > 1  # the tie the rule has to break
+    assert optimize_sram(requirements, tech) == _brute_force(
+        requirements, tech
+    )
