@@ -8,8 +8,9 @@ exceeds the cycle time, the bus is pipelined to preserve throughput.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.arch.component import Estimate, ModelContext, cached_estimate
 from repro.circuit.dff import DffBank
@@ -22,7 +23,7 @@ from repro.tech.wire import (
     wire_params,
     wire_pipeline_stages,
 )
-from repro.units import dynamic_power_w, um_to_mm
+from repro.units import any_point, as_plain, dynamic_power_w, um_to_mm
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,8 @@ class CentralDataBus:
         connected_area_mm2: Total area of the components the bus routes
             around; the wire length is its square root.
         endpoints: Functional units hanging off the bus.
+
+    Every field broadcasts: arrays describe one bus per design point.
     """
 
     width_bits: int
@@ -42,17 +45,17 @@ class CentralDataBus:
     endpoints: int = 3
 
     def __post_init__(self) -> None:
-        if self.width_bits < 1:
+        if any_point(self.width_bits < 1):
             raise ConfigurationError("CDB width must be positive")
-        if self.connected_area_mm2 < 0:
+        if any_point(self.connected_area_mm2 < 0):
             raise ConfigurationError("connected area must be >= 0")
-        if self.endpoints < 2:
+        if any_point(self.endpoints < 2):
             raise ConfigurationError("CDB needs at least two endpoints")
 
     @property
     def length_mm(self) -> float:
         """Routed bus length (the paper's sqrt-of-area estimate)."""
-        return math.sqrt(self.connected_area_mm2)
+        return as_plain(np.sqrt(self.connected_area_mm2))
 
     def pipeline_stages(self, ctx: ModelContext) -> int:
         """Registers inserted to meet the clock (>= 1)."""

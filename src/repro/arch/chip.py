@@ -9,9 +9,10 @@ Figs. 3-5 and Fig. 8.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from repro.arch.component import Estimate, ModelContext, cached_estimate
 from repro.arch.core import Core, CoreConfig
@@ -25,7 +26,10 @@ from repro.arch.periph import (
 )
 from repro.errors import ConfigurationError
 from repro.tech import calibration
-from repro.units import tops
+from repro.units import any_point, as_plain, tops
+
+#: Table I's NoC rule: a ring up to this many cores, a 2D mesh beyond.
+RING_MAX_CORES = 4
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,9 @@ class ChipConfig:
         ici: Inter-chip interconnect; ``None`` omits it.
         whitespace_fraction: Die fraction reserved for unknown blocks and
             white space (the paper carries ~21%).
+
+    ``cores_x``/``cores_y`` (with the core's sizes) broadcast: arrays
+    describe one chip per design point.
     """
 
     core: CoreConfig
@@ -62,7 +69,7 @@ class ChipConfig:
     whitespace_fraction: float = calibration.WHITESPACE_FRACTION
 
     def __post_init__(self) -> None:
-        if self.cores_x < 1 or self.cores_y < 1:
+        if any_point(self.cores_x < 1) or any_point(self.cores_y < 1):
             raise ConfigurationError("chip needs at least one core")
         if not 0.0 <= self.whitespace_fraction < 0.9:
             raise ConfigurationError(
@@ -78,7 +85,9 @@ class ChipConfig:
         """Resolved NoC topology (Table I's ring-vs-mesh rule)."""
         if self.noc_topology is not None:
             return self.noc_topology
-        return NocTopology.RING if self.cores <= 4 else NocTopology.MESH_2D
+        if self.cores <= RING_MAX_CORES:
+            return NocTopology.RING
+        return NocTopology.MESH_2D
 
     @property
     def macs_per_cycle(self) -> int:
@@ -100,14 +109,56 @@ class Chip:
     def noc(self, ctx: ModelContext) -> NetworkOnChip:
         """The inter-core network sized for this chip's floorplan."""
         core_area = self.core.estimate(ctx).area_mm2
-        pitch = math.sqrt(max(core_area, 1e-6))
+        return self._noc(self.config.topology, core_area)
+
+    def _noc(
+        self, topology: NocTopology, core_area_mm2: float
+    ) -> NetworkOnChip:
+        pitch = as_plain(np.sqrt(np.maximum(core_area_mm2, 1e-6)))
         noc_config = NocConfig(
-            topology=self.config.topology,
+            topology=topology,
             nodes_x=self.config.cores_x,
             nodes_y=self.config.cores_y,
             bisection_gbps=self.config.noc_bisection_gbps,
         )
         return NetworkOnChip(noc_config, node_pitch_mm=pitch)
+
+    def nocs(self, core_area_mm2) -> list[tuple[object, NetworkOnChip]]:
+        """``(points, network)`` for each NoC the core counts resolve to.
+
+        ``points`` masks the multi-core points that use the network.  A
+        scalar configuration, or one with a fixed topology, has one entry;
+        over arrays of core counts Table I's rule gives rings to some
+        points and meshes to others.
+        """
+        cfg = self.config
+        multi = cfg.cores > 1
+        if cfg.noc_topology is not None or np.ndim(cfg.cores) == 0:
+            return [(multi, self._noc(cfg.topology, core_area_mm2))]
+        mesh = cfg.cores > RING_MAX_CORES
+        return [
+            (multi & ~mesh, self._noc(NocTopology.RING, core_area_mm2)),
+            (mesh, self._noc(NocTopology.MESH_2D, core_area_mm2)),
+        ]
+
+    def _noc_estimate(
+        self, ctx: ModelContext, core_area_mm2: float
+    ) -> Estimate:
+        """The NoC rollup of a multi-core chip.
+
+        Over arrays each point takes its own network's estimate, and
+        single-core points a zero one, which leaves the chip sums exact.
+        """
+        choices = self.nocs(core_area_mm2)
+        if np.ndim(self.config.cores) == 0:
+            return choices[0][1].estimate(ctx)
+        picked = Estimate(
+            name="network-on-chip", area_mm2=0.0, dynamic_w=0.0, leakage_w=0.0
+        )
+        for points, noc in choices:
+            if any_point(points):
+                picked = Estimate.where(points, noc.estimate(ctx), picked)
+        return picked
 
     def memory_controller(self) -> Optional[MemoryController]:
         """The off-chip memory controller block (``None`` when omitted)."""
@@ -129,13 +180,16 @@ class Chip:
         children: list[Estimate] = []
 
         core_estimate = self.core.estimate(ctx)
+        multi = any_point(cfg.cores > 1)
         children.append(
             core_estimate.replicated(
-                cfg.cores, name="cores" if cfg.cores > 1 else "core"
+                cfg.cores, name="cores" if multi else "core"
             )
         )
-        if cfg.cores > 1:
-            children.append(self.noc(ctx).estimate(ctx))
+        if multi:
+            children.append(
+                self._noc_estimate(ctx, core_estimate.area_mm2)
+            )
         controller = self.memory_controller()
         if controller is not None:
             children.append(controller.estimate(ctx))

@@ -13,9 +13,13 @@ technology node and the clock.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, TypeVar
+
+import numpy as np
 
 from repro.cache.keys import stable_hash
 from repro.cache.store import get_estimate_cache
@@ -29,9 +33,34 @@ from repro.integrity.diagnostics import (
 )
 from repro.integrity.faults import active_fault_plan
 from repro.tech.node import TechNode
-from repro.units import cycle_time_ns
+from repro.units import any_point, as_plain, cycle_time_ns
 
 _R = TypeVar("_R")
+
+#: Per-scope memo of :func:`array_evaluation`; ``None`` outside one.
+_ARRAY_SCOPE: ContextVar[Optional[dict]] = ContextVar(
+    "array_evaluation", default=None
+)
+
+
+@contextlib.contextmanager
+def array_evaluation() -> Iterator[None]:
+    """Evaluate components whose configs hold NumPy arrays of points.
+
+    The model closed forms broadcast, so one component built with
+    array-valued fields (TU lengths, core counts, ...) estimates a whole
+    grid of design points at once.  Inside this scope every
+    :func:`cached_estimate` method runs its closed form directly: no cache
+    key is derived, no fault plan applies and no result is screened (the
+    batch estimator screens each point itself).  Results are memoized per
+    component *object* for the life of the scope, so a rollup that reads a
+    child twice (the chip's TDP reads its estimate) evaluates it once.
+    """
+    token = _ARRAY_SCOPE.set({})
+    try:
+        yield
+    finally:
+        _ARRAY_SCOPE.reset(token)
 
 
 def cached_estimate(
@@ -65,12 +94,22 @@ def cached_estimate(
     * an armed :class:`~repro.integrity.faults.FaultPlan` intercepts
       matching calls here, corrupting the computed value *outside* the
       cache so injected faults can never pollute it.
+
+    Inside :func:`array_evaluation` all of this is bypassed for the
+    uncached closed form.
     """
     qualname = method.__qualname__
     method_name = method.__name__
 
     @functools.wraps(method)
     def wrapper(self, ctx):
+        memo = _ARRAY_SCOPE.get()
+        if memo is not None:
+            key = (id(self), qualname, ctx)
+            if key not in memo:
+                # The entry holds ``self`` so its id cannot be reused.
+                memo[key] = (self, method(self, ctx))
+            return memo[key][1]
         with component_scope(component_label(self, method_name)):
             plan = active_fault_plan()
             if plan is not None:
@@ -122,6 +161,10 @@ class ModelContext:
 class Estimate:
     """Inclusive power/area/timing rollup for one component.
 
+    The numeric fields are plain floats for one component, or NumPy arrays
+    (one entry per design point) for a component evaluated under
+    :func:`array_evaluation`.
+
     Attributes:
         name: Component label, used in breakdown reports.
         area_mm2: Total silicon area, children included.
@@ -141,7 +184,13 @@ class Estimate:
     children: tuple["Estimate", ...] = ()
 
     def __post_init__(self) -> None:
-        if self.area_mm2 < 0 or self.dynamic_w < 0 or self.leakage_w < 0:
+        for name in ("area_mm2", "dynamic_w", "leakage_w", "cycle_time_ns"):
+            object.__setattr__(self, name, as_plain(getattr(self, name)))
+        if (
+            any_point(self.area_mm2 < 0)
+            or any_point(self.dynamic_w < 0)
+            or any_point(self.leakage_w < 0)
+        ):
             raise ConfigurationError(
                 f"estimate {self.name!r} has a negative area or power"
             )
@@ -164,15 +213,34 @@ class Estimate:
             area_mm2=self_area_mm2 + sum(c.area_mm2 for c in children),
             dynamic_w=self_dynamic_w + sum(c.dynamic_w for c in children),
             leakage_w=self_leakage_w + sum(c.leakage_w for c in children),
-            cycle_time_ns=max(
-                [self_cycle_time_ns] + [c.cycle_time_ns for c in children]
+            cycle_time_ns=functools.reduce(
+                np.maximum, [c.cycle_time_ns for c in children],
+                self_cycle_time_ns,
             ),
             children=tuple(children),
         )
 
+    @classmethod
+    def where(
+        cls, mask, if_true: "Estimate", if_false: "Estimate"
+    ) -> "Estimate":
+        """Per-point choice between two array-valued estimates.
+
+        Only the rollup fields are picked; the breakdown is dropped.
+        """
+        return cls(
+            name=if_true.name,
+            area_mm2=np.where(mask, if_true.area_mm2, if_false.area_mm2),
+            dynamic_w=np.where(mask, if_true.dynamic_w, if_false.dynamic_w),
+            leakage_w=np.where(mask, if_true.leakage_w, if_false.leakage_w),
+            cycle_time_ns=np.where(
+                mask, if_true.cycle_time_ns, if_false.cycle_time_ns
+            ),
+        )
+
     def replicated(self, count: int, name: Optional[str] = None) -> "Estimate":
         """This component instantiated ``count`` times (area/power scale)."""
-        if count < 1:
+        if any_point(count < 1):
             raise ConfigurationError(f"replication count must be >= 1: {count}")
         label = name if name is not None else f"{count}x {self.name}"
         return Estimate(
@@ -181,7 +249,7 @@ class Estimate:
             dynamic_w=self.dynamic_w * count,
             leakage_w=self.leakage_w * count,
             cycle_time_ns=self.cycle_time_ns,
-            children=(self,) if count > 1 else self.children,
+            children=(self,) if any_point(count > 1) else self.children,
         )
 
     def renamed(self, name: str) -> "Estimate":

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from repro.arch.cdb import CentralDataBus
 from repro.arch.component import Estimate, ModelContext, cached_estimate
 from repro.arch.frontend import InstructionFetchUnit, LoadStoreUnit
@@ -22,7 +24,7 @@ from repro.arch.tensor_unit import TensorUnit, TensorUnitConfig
 from repro.arch.vector_unit import VectorUnit, VectorUnitConfig
 from repro.arch.vreg import VectorRegisterFile, VRegConfig
 from repro.errors import ConfigurationError
-from repro.units import tops
+from repro.units import any_point, as_plain, tops
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,9 @@ class CoreConfig:
             ``(name, config)`` pairs.
         vreg_shared_ports: Share one VReg port group across all TUs.
         include_scalar_unit: Whether the core carries an SU for control.
+
+    ``tensor_units`` (with the TU, VU and Mem sizes) broadcasts: arrays
+    describe one core per design point.
     """
 
     tu: Optional[TensorUnitConfig]
@@ -63,7 +68,7 @@ class CoreConfig:
     def __post_init__(self) -> None:
         if self.tu is None and self.rt is None:
             raise ConfigurationError("a core needs at least one compute unit")
-        if self.tu is not None and self.tensor_units < 1:
+        if self.tu is not None and any_point(self.tensor_units < 1):
             raise ConfigurationError("tensor_units must be >= 1 when tu set")
         if self.rt is not None and self.reduction_trees < 1:
             raise ConfigurationError(
@@ -123,7 +128,7 @@ class CoreConfig:
                 * self.rt.inputs
                 * self.rt.input_dtype.bits
             ) // 8
-        return max(total, 1)
+        return as_plain(np.maximum(total, 1))
 
     def peak_tops(self, freq_ghz: float) -> float:
         """Peak TOPS of one core at ``freq_ghz``."""
@@ -135,6 +140,7 @@ class Core:
 
     def __init__(self, config: CoreConfig):
         self.config = config
+        self._memories: dict[ModelContext, OnChipMemory] = {}
         self.ifu = InstructionFetchUnit()
         self.tensor_unit = (
             TensorUnit(config.tu) if config.tu is not None else None
@@ -155,14 +161,20 @@ class Core:
         )
 
     def memory(self, ctx: ModelContext) -> OnChipMemory:
-        """The Mem slice with auto-filled bandwidth targets."""
-        cfg = self.config.mem
-        operand_gbps = self.config.operand_bytes_per_cycle() * ctx.freq_ghz
-        if cfg.read_bandwidth_gbps <= 0:
-            cfg = replace(cfg, read_bandwidth_gbps=operand_gbps)
-        if cfg.write_bandwidth_gbps <= 0:
-            cfg = replace(cfg, write_bandwidth_gbps=operand_gbps / 2.0)
-        return OnChipMemory(cfg)
+        """The Mem slice with auto-filled bandwidth targets.
+
+        One instance per context, so its organization search runs once
+        however many rollups read it.
+        """
+        if ctx not in self._memories:
+            cfg = self.config.mem
+            operand_gbps = self.config.operand_bytes_per_cycle() * ctx.freq_ghz
+            if cfg.read_bandwidth_gbps <= 0:
+                cfg = replace(cfg, read_bandwidth_gbps=operand_gbps)
+            if cfg.write_bandwidth_gbps <= 0:
+                cfg = replace(cfg, write_bandwidth_gbps=operand_gbps / 2.0)
+            self._memories[ctx] = OnChipMemory(cfg)
+        return self._memories[ctx]
 
     @cached_estimate
     def estimate(self, ctx: ModelContext) -> Estimate:
@@ -175,7 +187,7 @@ class Core:
                 tu_est.replicated(
                     self.config.tensor_units,
                     name="tensor units"
-                    if self.config.tensor_units > 1
+                    if any_point(self.config.tensor_units > 1)
                     else "tensor unit",
                 )
             )

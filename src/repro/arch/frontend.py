@@ -16,7 +16,7 @@ from repro.circuit.gates import LogicBlock
 from repro.circuit.sram import SramArray
 from repro.errors import ConfigurationError
 from repro.tech import calibration
-from repro.units import dynamic_power_w
+from repro.units import any_point, dynamic_power_w
 
 IFU_CONTROL_GATES = 12_000
 LSU_GATES_PER_QUEUE_ENTRY = 900
@@ -75,14 +75,15 @@ class LoadStoreUnit:
     Attributes:
         queue_entries: Outstanding transfer descriptors tracked.
         datapath_bytes: Width of the load/store datapath in bytes; scaled
-            by the core model to match the TU operand bandwidth.
+            by the core model to match the TU operand bandwidth (an array
+            of widths describes one LSU per design point).
     """
 
     queue_entries: int = 32
     datapath_bytes: int = 64
 
     def __post_init__(self) -> None:
-        if self.queue_entries < 1 or self.datapath_bytes < 1:
+        if self.queue_entries < 1 or any_point(self.datapath_bytes < 1):
             raise ConfigurationError("LSU sizes must be positive")
 
     def _control(self) -> LogicBlock:

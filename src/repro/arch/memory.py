@@ -14,6 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.arch.component import Estimate, ModelContext, cached_estimate
 from repro.circuit.dff import DffBank
 from repro.circuit.edram import EdramArray
@@ -21,7 +23,7 @@ from repro.circuit.gates import LogicBlock
 from repro.circuit.sram import SramArray, SramRequirements, optimize_sram
 from repro.errors import ConfigurationError
 from repro.tech import calibration
-from repro.units import dynamic_power_w
+from repro.units import any_point, as_plain, dynamic_power_w
 
 #: Default pipelined access-latency budget, in cycles.
 DEFAULT_LATENCY_CYCLES = 4
@@ -56,6 +58,9 @@ class OnChipMemoryConfig:
         write_bandwidth_gbps: Required aggregate write throughput.
         latency_cycles: Pipelined access-latency budget in cycles.
         min_banks: Lower bound on banking (Eyeriss dedicates 27 banks).
+
+    Capacity, block and the bandwidth targets broadcast: arrays describe
+    one Mem slice per design point.
     """
 
     capacity_bytes: int
@@ -69,7 +74,9 @@ class OnChipMemoryConfig:
     min_banks: int = 1
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0 or self.block_bytes <= 0:
+        if any_point(self.capacity_bytes <= 0) or any_point(
+            self.block_bytes <= 0
+        ):
             raise ConfigurationError("memory capacity/block must be positive")
         if self.latency_cycles < 1:
             raise ConfigurationError("latency budget must be >= 1 cycle")
@@ -81,7 +88,9 @@ class OnChipMemory:
     """Analytical model of the on-chip memory with auto-banking."""
 
     def __init__(self, config: OnChipMemoryConfig):
-        if config.cell is MemCellKind.DFF and config.capacity_bytes > 65536:
+        if config.cell is MemCellKind.DFF and any_point(
+            config.capacity_bytes > 65536
+        ):
             raise ConfigurationError(
                 "DFF-based Mem above 64 KiB is not a sensible design point"
             )
@@ -120,16 +129,24 @@ class OnChipMemory:
             target_write_bandwidth_gbps=cfg.write_bandwidth_gbps,
         )
         organization = optimize_sram(requirements, ctx.tech)
-        if organization.banks < cfg.min_banks:
+        if any_point(organization.banks < cfg.min_banks):
             organization = SramArray(
                 capacity_bytes=cfg.capacity_bytes,
                 block_bytes=cfg.block_bytes,
-                banks=cfg.min_banks,
+                banks=as_plain(np.maximum(organization.banks, cfg.min_banks)),
                 read_ports=organization.read_ports,
                 write_ports=organization.write_ports,
                 subarray_rows=organization.subarray_rows,
             )
         return organization
+
+    def feasible(self, ctx: ModelContext):
+        """Where the organization search succeeded.
+
+        A scalar configuration raises :class:`~repro.errors.OptimizationError`
+        instead of returning False; array-valued ones get a per-point mask.
+        """
+        return np.isfinite(self.organization(ctx).banks)
 
     def _array(self, ctx: ModelContext):
         organization = self.organization(ctx)
@@ -202,12 +219,14 @@ class OnChipMemory:
         # TDP traffic: sustain the configured bandwidth targets (what the
         # compute units actually demand), bounded by the physical ports.
         bytes_per_cycle = self.config.block_bytes * ctx.freq_ghz
-        reads_per_cycle = min(
-            max(self.config.read_bandwidth_gbps / bytes_per_cycle, 1.0),
+        reads_per_cycle = np.minimum(
+            np.maximum(self.config.read_bandwidth_gbps / bytes_per_cycle, 1.0),
             organization.banks * organization.read_ports,
         )
-        writes_per_cycle = min(
-            max(self.config.write_bandwidth_gbps / bytes_per_cycle, 0.5),
+        writes_per_cycle = np.minimum(
+            np.maximum(
+                self.config.write_bandwidth_gbps / bytes_per_cycle, 0.5
+            ),
             organization.banks * organization.write_ports,
         )
         energy = (

@@ -10,8 +10,9 @@ crossbar + allocator), the McPAT router decomposition.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.arch.component import Estimate, ModelContext, cached_estimate
 from repro.circuit.dff import DffBank
@@ -24,7 +25,7 @@ from repro.tech.wire import (
     wire_energy_pj_per_bit,
     wire_params,
 )
-from repro.units import dynamic_power_w, um_to_mm
+from repro.units import any_point, as_plain, dynamic_power_w, um_to_mm
 
 #: Flits buffered per router input port.
 BUFFER_DEPTH = 8
@@ -56,6 +57,8 @@ class NocConfig:
         nodes_x: Horizontal node count (``T_x`` in the paper).
         nodes_y: Vertical node count (``T_y``).
         bisection_gbps: Required bisection bandwidth per direction (GB/s).
+
+    The node counts broadcast: arrays describe one network per design point.
     """
 
     topology: NocTopology
@@ -64,7 +67,7 @@ class NocConfig:
     bisection_gbps: float
 
     def __post_init__(self) -> None:
-        if self.nodes_x < 1 or self.nodes_y < 1:
+        if any_point(self.nodes_x < 1) or any_point(self.nodes_y < 1):
             raise ConfigurationError("NoC needs at least one node")
         if self.bisection_gbps <= 0:
             raise ConfigurationError("bisection bandwidth must be positive")
@@ -77,7 +80,7 @@ class NocConfig:
     def bisection_links(self) -> int:
         """Links crossing the canonical bisection cut."""
         if self.topology is NocTopology.MESH_2D:
-            return min(self.nodes_x, self.nodes_y)
+            return as_plain(np.minimum(self.nodes_x, self.nodes_y))
         if self.topology is NocTopology.RING:
             return 2
         return 1  # bus and H-tree: one shared medium crosses the cut
@@ -85,17 +88,17 @@ class NocConfig:
     @property
     def link_count(self) -> int:
         """Unidirectional-link pairs in the network."""
-        if self.nodes == 1:
-            return 0
         if self.topology is NocTopology.MESH_2D:
-            return self.nodes_x * (self.nodes_y - 1) + self.nodes_y * (
+            links = self.nodes_x * (self.nodes_y - 1) + self.nodes_y * (
                 self.nodes_x - 1
             )
-        if self.topology is NocTopology.RING:
-            return self.nodes
-        if self.topology is NocTopology.HTREE:
-            return 2 * self.nodes - 2
-        return 1  # bus: one shared medium
+        elif self.topology is NocTopology.RING:
+            links = self.nodes
+        elif self.topology is NocTopology.HTREE:
+            links = 2 * self.nodes - 2
+        else:
+            links = 1  # bus: one shared medium
+        return as_plain(np.where(self.nodes == 1, 0, links))
 
     @property
     def router_ports(self) -> int:
@@ -110,26 +113,27 @@ class NocConfig:
         needed = self.bisection_gbps * 8.0 / (
             self.bisection_links * freq_ghz
         )
-        return max(MIN_FLIT_BITS, int(math.ceil(needed)))
+        flit = np.maximum(MIN_FLIT_BITS, np.ceil(needed))
+        return int(flit) if np.ndim(flit) == 0 else flit
 
     def average_hops(self) -> float:
         """Mean router hops of uniform-random traffic."""
-        if self.nodes == 1:
-            return 0.0
         if self.topology is NocTopology.MESH_2D:
-            return (self.nodes_x + self.nodes_y) / 3.0
-        if self.topology is NocTopology.RING:
-            return self.nodes / 4.0
-        if self.topology is NocTopology.HTREE:
-            return 2.0 * math.log2(max(self.nodes, 2))
-        return 1.0  # bus: single shared hop
+            hops = (self.nodes_x + self.nodes_y) / 3.0
+        elif self.topology is NocTopology.RING:
+            hops = self.nodes / 4.0
+        elif self.topology is NocTopology.HTREE:
+            hops = 2.0 * np.log2(np.maximum(self.nodes, 2))
+        else:
+            hops = 1.0  # bus: single shared hop
+        return as_plain(np.where(self.nodes == 1, 0.0, hops))
 
 
 class NetworkOnChip:
     """Analytical model of the NoC at a given core pitch."""
 
     def __init__(self, config: NocConfig, node_pitch_mm: float):
-        if node_pitch_mm <= 0:
+        if any_point(node_pitch_mm <= 0):
             raise ConfigurationError("node pitch must be positive")
         self.config = config
         self.node_pitch_mm = node_pitch_mm
@@ -165,7 +169,7 @@ class NetworkOnChip:
     def link_length_mm(self) -> float:
         """Length of one link (bus spans the chip edge-to-edge)."""
         if self.config.topology is NocTopology.BUS:
-            return self.node_pitch_mm * max(
+            return self.node_pitch_mm * np.maximum(
                 self.config.nodes_x, self.config.nodes_y
             )
         return self.node_pitch_mm
@@ -186,9 +190,10 @@ class NetworkOnChip:
     # -- traffic (used by the performance simulator) -------------------------
 
     def energy_per_byte_pj(self, ctx: ModelContext) -> float:
-        """Average NoC energy to move one byte between two random cores."""
-        if self.config.nodes == 1:
-            return 0.0
+        """Average NoC energy to move one byte between two random cores.
+
+        Zero for a single node (no hops).
+        """
         flit = self.config.flit_bits(ctx.freq_ghz)
         hops = self.config.average_hops()
         per_flit = hops * (
@@ -204,7 +209,7 @@ class NetworkOnChip:
         """Routers + links rollup at TDP interconnect activity."""
         cfg = self.config
         tech = ctx.tech
-        if cfg.nodes == 1:
+        if np.all(cfg.nodes == 1):
             return Estimate(
                 name="network-on-chip",
                 area_mm2=0.0,

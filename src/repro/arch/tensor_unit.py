@@ -13,8 +13,9 @@ and (3) DFF-based I/O FIFOs.  Two inner-TU interconnects are modeled:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.arch.component import Estimate, ModelContext, cached_estimate
 from repro.circuit.dff import DffBank
@@ -27,6 +28,8 @@ from repro.errors import ConfigurationError
 from repro.tech import calibration
 from repro.tech.wire import WireType, wire_energy_pj_per_bit, wire_params
 from repro.units import (
+    any_point,
+    as_plain,
     dynamic_power_w,
     fj_to_pj,
     mm2_to_um2,
@@ -97,6 +100,9 @@ class SystolicCellConfig:
 class TensorUnitConfig:
     """A full tensor unit.
 
+    ``rows`` and ``cols`` broadcast: arrays of them describe one TU per
+    design point.
+
     Attributes:
         rows: Systolic array height (the paper's TU length ``X``).
         cols: Systolic array width.
@@ -114,7 +120,7 @@ class TensorUnitConfig:
     fifo_depth: int = 8
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+        if any_point(self.rows < 1) or any_point(self.cols < 1):
             raise ConfigurationError(
                 f"tensor unit must be at least 1x1, got {self.rows}x{self.cols}"
             )
@@ -177,7 +183,7 @@ class TensorUnit:
 
     def cell_pitch_mm(self, ctx: ModelContext) -> float:
         """Edge length of one (square) systolic cell."""
-        return math.sqrt(self.cell_area_mm2(ctx))
+        return as_plain(np.sqrt(self.cell_area_mm2(ctx)))
 
     def array_area_mm2(self, ctx: ModelContext) -> float:
         """Area of the cell array alone."""
@@ -252,8 +258,8 @@ class TensorUnit:
         """
         span = self.config.rows + self.config.cols
         floor = calibration.ARRAY_SPAN_ENERGY_FLOOR
-        scale = min(span / calibration.ARRAY_SPAN_ENERGY_NORM, 2.0)
-        return floor + (1.0 - floor) * scale
+        scale = np.minimum(span / calibration.ARRAY_SPAN_ENERGY_NORM, 2.0)
+        return as_plain(floor + (1.0 - floor) * scale)
 
     def energy_per_active_cycle_pj(self, ctx: ModelContext) -> float:
         """Whole-TU energy on a fully active cycle (clock tree included)."""
@@ -279,7 +285,7 @@ class TensorUnit:
         ).setup_plus_clk_to_q_ns(ctx.tech)
         if cfg.interconnect is InterconnectKind.UNICAST:
             return cell_ns
-        return max(cell_ns, self.multicast_bus_delay_ns(ctx))
+        return as_plain(np.maximum(cell_ns, self.multicast_bus_delay_ns(ctx)))
 
     def multicast_bus_delay_ns(self, ctx: ModelContext) -> float:
         """Elmore delay of the longest X/Y multicast bus (pi-RC segments).
@@ -290,13 +296,15 @@ class TensorUnit:
         """
         cfg = self.config
         wire = wire_params(ctx.tech, WireType.LOCAL)
-        span = max(cfg.rows, cfg.cols)
+        span = np.maximum(cfg.rows, cfg.cols)
         length_mm = span * self.cell_pitch_mm(ctx)
         taps_ff = span * ctx.tech.gate_cap_ff * 2.0
-        return ladder_delay_ns(
-            total_resistance_ohm=length_mm * wire.r_ohm_per_mm,
-            total_capacitance_ff=length_mm * wire.c_ff_per_mm + taps_ff,
-            driver_ohm=1_500.0,
+        return as_plain(
+            ladder_delay_ns(
+                total_resistance_ohm=length_mm * wire.r_ohm_per_mm,
+                total_capacitance_ff=length_mm * wire.c_ff_per_mm + taps_ff,
+                driver_ohm=1_500.0,
+            )
         )
 
     # -- rollup ------------------------------------------------------------

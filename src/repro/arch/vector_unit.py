@@ -17,7 +17,7 @@ from repro.circuit.mac import MacModel
 from repro.datatypes import INT32, DataType
 from repro.errors import ConfigurationError
 from repro.tech import calibration
-from repro.units import dynamic_power_w, um2_to_mm2
+from repro.units import any_point, dynamic_power_w, um2_to_mm2
 
 #: Gates of the per-lane special-function block (LUT + shifter + compare).
 DEFAULT_SFU_GATES = 2_500
@@ -35,7 +35,8 @@ class VectorUnitConfig:
 
     Attributes:
         lanes: Parallel lanes; NeuroMeter auto-matches this to the TU array
-            length (Sec. III-A).
+            length (Sec. III-A).  Broadcasts: an array of lane counts
+            describes one VU per design point.
         dtype: Lane data type — typically the accumulation type, since the
             VU post-processes TU partial sums.
         sfu_gates: Gates in the per-lane special-function block; deep
@@ -50,7 +51,7 @@ class VectorUnitConfig:
     pipeline_depth: int = 4
 
     def __post_init__(self) -> None:
-        if self.lanes < 1:
+        if any_point(self.lanes < 1):
             raise ConfigurationError("vector unit needs at least one lane")
         if self.sfu_gates < 0 or self.pipeline_depth < 1:
             raise ConfigurationError("invalid vector unit sizing")

@@ -16,7 +16,7 @@ from repro.arch.component import Estimate, ModelContext, cached_estimate
 from repro.circuit.regfile import RegisterFile
 from repro.errors import ConfigurationError
 from repro.tech import calibration
-from repro.units import dynamic_power_w
+from repro.units import any_point, dynamic_power_w
 
 #: Architectural vector registers.
 DEFAULT_ENTRIES = 32
@@ -32,6 +32,9 @@ WRITE_PORTS_PER_UNIT = 1
 @dataclass(frozen=True)
 class VRegConfig:
     """Vector register file configuration.
+
+    ``vector_lanes`` and ``attached_units`` broadcast: arrays of them
+    describe one VReg per design point.
 
     Attributes:
         vector_lanes: Vector width in elements; auto-matched to the TU
@@ -49,9 +52,9 @@ class VRegConfig:
     entries: int = DEFAULT_ENTRIES
 
     def __post_init__(self) -> None:
-        if self.vector_lanes < 1:
+        if any_point(self.vector_lanes < 1):
             raise ConfigurationError("VReg needs at least one lane")
-        if self.attached_units < 1:
+        if any_point(self.attached_units < 1):
             raise ConfigurationError("VReg needs at least one attached unit")
         if self.entries < 2:
             raise ConfigurationError("VReg needs at least two entries")

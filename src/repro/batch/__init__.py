@@ -6,13 +6,13 @@ that walk is pure overhead: every point shares one technology substrate and
 differs only in four integers ``(X, N, T_x, T_y)``.  This package evaluates
 an entire grid of points as NumPy array operations:
 
-* :mod:`repro.batch.substrate` hoists everything that does not depend on
-  the design point — per-MAC scalars, wire parameters, and full estimates
-  of the point-independent blocks — into a :class:`TechSubstrate`;
-* :mod:`repro.batch.kernels` evaluates the component rollups (MAC array,
-  VU, VReg, Mem, CDB, NoC) over the grid, calling the shared circuit
-  closed forms (SRAM organizer, register file, DFF/logic blocks, wires)
-  with arrays, and returns vectors of ``(area_mm2, power_w, timing_ns)``;
+* :mod:`repro.batch.substrate` holds each preset family's template chip
+  in a :class:`TechSubstrate` and builds from it one chip whose
+  point-dependent fields (TU length and count, core grid, and the VU and
+  Mem sizes they scale) are arrays;
+* :mod:`repro.batch.kernels` evaluates that chip's own ``estimate``
+  rollup — the architecture models broadcast over the arrays — and
+  returns vectors of ``(area_mm2, power_w, timing_ns)``;
 * :mod:`repro.batch.estimator` canonicalizes a sweep into swept axes plus
   shared context, runs the kernels, screens the batched arrays through the
   integrity contracts, and materializes per-point

@@ -4,13 +4,14 @@ The scalar path builds a :class:`~repro.arch.chip.Chip` object tree per
 design point and walks it; for a Table I sweep that repeats the same
 closed-form arithmetic a few hundred times with different ``(X, N, Tx,
 Ty)``.  :class:`BatchEstimator` canonicalizes the sweep into parallel
-coordinate arrays (:class:`GridAxes`), hoists everything point-independent
-into a :class:`~repro.batch.substrate.TechSubstrate`, and evaluates the
-whole grid through the NumPy kernels in :mod:`repro.batch.kernels` and
-the batched performance layer in :mod:`repro.batch.perf`.
+coordinate arrays (:class:`GridAxes`), builds one array-valued chip per
+preset family from a :class:`~repro.batch.substrate.TechSubstrate`, and
+evaluates the whole grid through the architecture models themselves
+(:mod:`repro.batch.kernels`) and the batched performance layer in
+:mod:`repro.batch.perf`.
 
 The vector path is *opt-in safe*: :func:`classify_point` proves a point
-builds one of the preset family configurations the kernels transcribe
+builds one of the preset family configurations the backend models
 (anything else — exotic datatypes, custom ``build()`` overrides — is
 reported for scalar fallback, and a ``build()`` that *raises* is reported
 as :data:`BUILD_FAILED` with the original error attached rather than
@@ -44,7 +45,7 @@ from repro.errors import NumericalError
 _SCREENED_FIELDS = ("area_mm2", "tdp_w", "peak_tops", "timing_ns")
 
 #: Fallback reason: the point's chip config differs from every preset
-#: family shape the kernels transcribe.
+#: family shape the batch backend models.
 UNSUPPORTED_CONFIG = "unsupported-config"
 #: Fallback reason: the point's ``build()`` itself raised; the original
 #: error is preserved in :attr:`BatchResult.errors` so callers can
@@ -72,7 +73,7 @@ def classify_point(
     """Identify which preset family a point's built config matches.
 
     Returns ``(family, None)`` when ``point.build()`` produces exactly
-    the configuration of one kernel-transcribed preset family
+    the configuration of one batch-modeled preset family
     (``"datacenter"`` or ``"training"``), ``(None, None)`` when it
     builds fine but matches no family (scalar fallback with
     :data:`UNSUPPORTED_CONFIG`), and ``(None, error)`` when ``build()``
@@ -99,7 +100,7 @@ def classify_point(
 
 
 def supports_vector_path(point: DesignPoint) -> bool:
-    """True when ``point`` builds a kernel-transcribed preset config.
+    """True when ``point`` builds a batch-modeled preset config.
 
     Back-compat boolean wrapper over :func:`classify_point`; callers that
     need to distinguish a build *failure* from a config mismatch (the

@@ -16,24 +16,22 @@ per-*point* dimension — the axis that grows with sweep size — is fully
 vectorized.  Kernels use only array-API-standard operations so a GPU array
 namespace (e.g. ``cupy``) can be swapped in later.
 
-Energy coefficients that depend on the design tuple only through a handful
-of unique values (the TU's per-active-cycle energy depends on ``X`` alone;
-the VReg's on ``(lanes, N)``) are evaluated through the *real* scalar
-models once per unique value and scattered back into point arrays, so the
-batched runtime power is bit-identical to the scalar combination by
-construction.
+The per-active-cycle energies of the tensor, vector and scalar units and
+the VReg, and the NoC's energy per byte, are not transcribed: runtime
+power calls the architecture models themselves on the substrate's
+array-valued chip (:meth:`~repro.batch.substrate.TechSubstrate.chip`),
+since those models broadcast over the design-point fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.tensor_unit import TensorUnit
-from repro.arch.vector_unit import VectorUnit
-from repro.arch.vreg import VectorRegisterFile, VRegConfig
+from repro.arch.chip import Chip
+from repro.arch.component import ModelContext
 from repro.batch.substrate import TechSubstrate
 from repro.errors import MappingError
 from repro.perf.graph import Graph
@@ -103,21 +101,20 @@ class ArchArrays:
         n = np.asarray(n, dtype=np.float64)
         cores = np.asarray(cores, dtype=np.float64)
         multi = cores > 1
+        config = sub.template.config
         return cls(
             tu_rows=x,
             tus=cores * n,
             cores=cores,
             vu_lanes_total=cores * grid["lanes"],
             macs_per_cycle=cores * (n * (x * x)),
-            freq_ghz=sub.freq_ghz,
+            freq_ghz=sub.ctx.freq_ghz,
             mem_capacity_bytes=cores * grid["mem_capacity_bytes"],
             mem_read_gbps=cores * grid["mem_peak_read_gbps"],
             mem_write_gbps=cores * grid["mem_peak_write_gbps"],
-            noc_gbps=np.where(
-                multi, sub.template_noc_bisection_gbps, 0.0
-            ),
+            noc_gbps=np.where(multi, config.noc_bisection_gbps, 0.0),
             offchip_gbps=np.full(
-                cores.shape, sub.template_offchip_gbps, dtype=np.float64
+                cores.shape, config.offchip_bandwidth_gbps, dtype=np.float64
             ),
             multi=multi,
         )
@@ -480,113 +477,29 @@ def simulate_graph_arrays(
 # -- runtime power, as arrays --------------------------------------------------
 
 
-def _map_unique(values: np.ndarray, fn) -> np.ndarray:
-    """Evaluate ``fn`` once per unique value and scatter back."""
-    out = np.empty(values.shape, dtype=np.float64)
-    for value in np.unique(values):
-        out[values == value] = fn(float(value))
-    return out
-
-
-def _map_unique_pairs(
-    a: np.ndarray, b: np.ndarray, fn
-) -> np.ndarray:
-    """Evaluate ``fn`` once per unique ``(a, b)`` pair and scatter back."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.float64)
-    stacked = np.stack(
-        [np.broadcast_to(a, out.shape), np.broadcast_to(b, out.shape)],
-        axis=-1,
-    )
-    for pair in np.unique(stacked.reshape(-1, 2), axis=0):
-        mask = (stacked[..., 0] == pair[0]) & (stacked[..., 1] == pair[1])
-        out[mask] = fn(float(pair[0]), float(pair[1]))
-    return out
-
-
-class EnergyCoefficients:
-    """Per-active-cycle energies of the point-dependent units.
-
-    Each coefficient depends on the design tuple only through one or two
-    integers, so the real scalar accessors run once per unique value —
-    exactness for free, and a handful of calls per sweep.
-    """
-
-    def __init__(self, sub: TechSubstrate):
-        self._sub = sub
-        core_cfg = sub.template_config.core
-        self._tu_cfg = core_cfg.tu
-        self._vu_cfg = sub.template_vu_config
-        self._shared_ports = core_cfg.vreg_shared_ports
-        self._su = None
-        if core_cfg.include_scalar_unit:
-            from repro.arch.scalar_unit import ScalarUnit
-
-            self._su = ScalarUnit(scale=core_cfg.scalar_unit_scale)
-
-    def per_tu_pj(self, x: np.ndarray) -> np.ndarray:
-        ctx = self._sub.ctx
-
-        def build(value: float) -> float:
-            cfg = replace(self._tu_cfg, rows=int(value), cols=int(value))
-            return TensorUnit(cfg).energy_per_active_cycle_pj(ctx)
-
-        return _map_unique(np.asarray(x, dtype=np.float64), build)
-
-    def per_vu_pj(self, lanes: np.ndarray) -> np.ndarray:
-        ctx = self._sub.ctx
-
-        def build(value: float) -> float:
-            cfg = replace(self._vu_cfg, lanes=int(value))
-            return VectorUnit(cfg).energy_per_active_cycle_pj(ctx)
-
-        return _map_unique(np.asarray(lanes, dtype=np.float64), build)
-
-    def per_vreg_pj(
-        self, lanes: np.ndarray, n: np.ndarray
-    ) -> np.ndarray:
-        ctx = self._sub.ctx
-        shared = self._shared_ports
-
-        def build(lane_count: float, tus: float) -> float:
-            cfg = VRegConfig(
-                vector_lanes=int(lane_count),
-                attached_units=int(tus) + 1,
-                shared_ports=shared,
-            )
-            return VectorRegisterFile(cfg).energy_per_active_cycle_pj(ctx)
-
-        return _map_unique_pairs(lanes, n, build)
-
-    def per_su_pj(self) -> float:
-        if self._su is None:
-            return 0.0
-        return self._su.energy_per_active_cycle_pj(self._sub.ctx)
-
-
 def runtime_power_arrays(
-    sub: TechSubstrate,
+    chip: Chip,
+    ctx: ModelContext,
     arch: ArchArrays,
     grid: Dict[str, np.ndarray],
-    coeffs: EnergyCoefficients,
-    n: np.ndarray,
     noc_energy_per_byte_pj: np.ndarray,
     activity: Dict[str, np.ndarray],
 ) -> np.ndarray:
     """``runtime_power(...).total_w`` over arrays of design points.
 
-    Components accumulate in the scalar dict-insertion order (tensor
-    units, vector units, VReg, scalar units, Mem, NoC, off-chip), with
-    the NoC term present only on multi-core points — the same two float
-    summation orders the scalar walk produces.
+    ``chip`` is the substrate's array-valued chip: the per-active-cycle
+    energies come from its broadcasting unit models.  Components
+    accumulate in the scalar dict-insertion order (tensor units, vector
+    units, VReg, scalar units, Mem, NoC, off-chip), with the NoC term
+    present only on multi-core points — the same two float summation
+    orders the scalar walk produces.
     """
-    freq = sub.freq_ghz
-    n = np.asarray(n, dtype=np.float64)
+    freq = ctx.freq_ghz
+    core = chip.core
     overhead = calibration.CLOCK_NETWORK_OVERHEAD
 
-    per_tu = coeffs.per_tu_pj(arch.tu_rows)
-    count = arch.cores * n
+    per_tu = core.tensor_unit.energy_per_active_cycle_pj(ctx)
+    count = arch.cores * chip.config.core.tensor_units
     active = dynamic_power_w(per_tu, freq) * activity["tu_utilization"]
     fill = (
         dynamic_power_w(per_tu, freq)
@@ -597,14 +510,14 @@ def runtime_power_arrays(
     )
     comp_tu = count * (active + fill)
 
-    per_vu = coeffs.per_vu_pj(grid["lanes"])
+    per_vu = core.vector_unit.energy_per_active_cycle_pj(ctx)
     comp_vu = (
         arch.cores
         * dynamic_power_w(per_vu, freq)
         * activity["vu_utilization"]
     )
 
-    per_vreg = coeffs.per_vreg_pj(grid["lanes"], n)
+    per_vreg = core.vreg.energy_per_active_cycle_pj(ctx)
     effective_vreg = np.maximum(
         activity["tu_utilization"], activity["vu_utilization"]
     )
@@ -612,9 +525,14 @@ def runtime_power_arrays(
         arch.cores * dynamic_power_w(per_vreg, freq) * effective_vreg
     )
 
+    per_su = (
+        core.scalar_unit.energy_per_active_cycle_pj(ctx)
+        if core.scalar_unit is not None
+        else 0.0
+    )
     comp_su = (
         arch.cores
-        * dynamic_power_w(coeffs.per_su_pj(), freq)
+        * dynamic_power_w(per_su, freq)
         * activity["su_activity"]
     )
 
@@ -629,17 +547,20 @@ def runtime_power_arrays(
     comp_noc = activity["noc_gbps"] * noc_energy_per_byte_pj * 1e-3
 
     leakage = grid["leakage_w"].copy()
-    interface_w = (
-        activity["offchip_gbps"] * sub.mc_energy_per_byte_pj * 1e-3
-    )
-    device_rated = sub.mc_device_power_w
-    if device_rated > 0:
-        peak_gbps = max(sub.template_offchip_gbps, 1e-9)
-        duty = np.minimum(activity["offchip_gbps"] / peak_gbps, 1.0)
-        interface_w = interface_w + device_rated * (
-            _DRAM_IDLE_FRACTION + (1.0 - _DRAM_IDLE_FRACTION) * duty
+    interface_w = 0.0
+    controller = chip.memory_controller()
+    if controller is not None:
+        interface_w = (
+            activity["offchip_gbps"] * controller.energy_per_byte_pj() * 1e-3
         )
-        leakage = leakage - device_rated
+        device_rated = controller.device_power_w()
+        if device_rated > 0:
+            peak_gbps = max(chip.config.offchip_bandwidth_gbps, 1e-9)
+            duty = np.minimum(activity["offchip_gbps"] / peak_gbps, 1.0)
+            interface_w = interface_w + device_rated * (
+                _DRAM_IDLE_FRACTION + (1.0 - _DRAM_IDLE_FRACTION) * duty
+            )
+            leakage = leakage - device_rated
 
     partial = 0.0 + comp_tu + comp_vu + comp_vreg + comp_su + comp_mem
     dynamic = np.where(
@@ -718,8 +639,6 @@ def simulate_workloads(
     flattened their graphs (the estimator's cache-key construction does)
     pass ``specs`` to skip re-deriving them from ``workloads``.
     """
-    from repro.batch.kernels import noc_energy_per_byte_kernel
-
     opt = opt if opt is not None else OptimizationConfig.all_on()
     x = np.asarray(x, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
@@ -728,8 +647,10 @@ def simulate_workloads(
     cores = tx * ty
     arch = ArchArrays.of(sub, grid, x, n, cores)
     peak_tops = grid["peak_tops"]
-    coeffs = EnergyCoefficients(sub)
-    noc_epb = noc_energy_per_byte_kernel(sub, tx, ty, grid["core_area_mm2"])
+    chip = sub.chip(x, n, tx, ty)
+    noc_epb = np.zeros(x.shape, dtype=np.float64)
+    for points, noc in chip.nocs(grid["core_area_mm2"]):
+        noc_epb = np.where(points, noc.energy_per_byte_pj(sub.ctx), noc_epb)
 
     if specs is None:
         specs = [
@@ -750,7 +671,7 @@ def simulate_workloads(
                 spec, arch, peak_tops, batch, opt
             )
             power = runtime_power_arrays(
-                sub, arch, grid, coeffs, n, noc_epb, result
+                chip, sub.ctx, arch, grid, noc_epb, result
             )
             outcomes.append(
                 BatchOutcome(

@@ -1,43 +1,36 @@
-"""Point-independent model state hoisted out of the vectorized hot loop.
+"""The preset family a vectorized grid varies, at one model context.
 
 A Table I sweep varies only ``(X, N, T_x, T_y)``; everything else — the
-technology node, the per-MAC circuit scalars, the wire RC parameters, and
-whole blocks whose configuration never changes (instruction fetch, scalar
-unit, memory controller, PCIe, ICI, DMA) — is fixed for a given
+technology node, the clock, the datatypes, and whole blocks whose
+configuration never changes (instruction fetch, scalar unit, memory
+controller, PCIe, ICI, DMA) — is fixed for a given
 :class:`~repro.arch.component.ModelContext` and *preset family*.
-:class:`TechSubstrate` evaluates all of that exactly once, using the
-*real* scalar models, so the array kernels in :mod:`repro.batch.kernels`
-only have to evaluate the point-dependent closed forms.
+:class:`TechSubstrate` holds the family's template chip and builds from it
+one chip whose point-dependent fields are arrays
+(:meth:`TechSubstrate.chip`).  The architecture models broadcast over
+those fields, so :mod:`repro.batch.kernels` evaluates a whole grid through
+the same ``estimate`` code the scalar path runs.
 
 Two families are modeled: ``"datacenter"`` (the int8 inference preset of
 Table I) and ``"training"`` (the bf16/fp32 TPU-v2-class preset).  Each
-family carries its own template chip, MAC curves (the bf16 multiplier and
-fp32 adder scalars come straight from :class:`repro.circuit.mac.MacModel`,
-which anchors those datatypes natively), and dependent-parameter rules
-(lane count, Mem block/capacity scaling).
-
-Because the fixed blocks are evaluated through their own ``estimate()``
-methods, their contributions are bit-identical to the scalar walk; only
-the point-dependent formulas are re-derived (and covered by the
-scalar/vector equivalence suite).
+carries its own template chip and dependent-parameter rules (lane count,
+Mem block/capacity scaling).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Tuple
 
-from repro.arch.chip import Chip, ChipConfig
-from repro.arch.component import Estimate, ModelContext
-from repro.arch.vector_unit import VectorUnitConfig
-from repro.circuit.mac import MacModel
+import numpy as np
+
+from repro.arch.chip import Chip
+from repro.arch.component import ModelContext
 from repro.config.presets import (
     datacenter_design_point,
     datacenter_training_point,
 )
 from repro.errors import ConfigurationError
-from repro.tech.node import TechNode
-from repro.tech.wire import WireParams, WireType, wire_params
 from repro.units import MiB
 
 #: The default preset family (the original vector-backend scope).
@@ -49,16 +42,14 @@ FAMILY_BUILDERS: Dict[str, Callable[[int, int, int, int], Chip]] = {
     "training": datacenter_training_point,
 }
 
-#: Dependent-parameter rules the kernels need in closed form.  The probe
-#: template fixes every *constant*; these capture how the presets scale
-#: the VU lane count and the Mem slice with the TU length ``X`` and the
-#: core count: ``lanes = max(lane_mult * X, lane_floor)``,
+#: Dependent-parameter rules of the presets.  The template fixes every
+#: *constant*; these capture how the presets scale the VU lane count (for
+#: families with an explicit VU) and the Mem slice with the TU length ``X``
+#: and the core count: ``lanes = max(lane_mult * X, lane_floor)``,
 #: ``block = max(block_mult * X, block_floor)``,
 #: ``capacity = max(pool // cores, floor)``.
 _FAMILY_RULES: Dict[str, Dict[str, int]] = {
     "datacenter": {
-        "lane_mult": 1,
-        "lane_floor": 1,
         "block_mult": 1,
         "block_floor": 32,
         "mem_pool_bytes": 32 * MiB,
@@ -76,189 +67,73 @@ _FAMILY_RULES: Dict[str, Dict[str, int]] = {
 
 
 @dataclass(frozen=True)
-class MacScalars:
-    """Per-operation scalars of one MAC configuration at a fixed node."""
-
-    energy_per_mac_pj: float
-    area_um2: float
-    delay_ns: float
-    leakage_w: float
-
-    @classmethod
-    def from_model(cls, mac: MacModel, tech: TechNode) -> "MacScalars":
-        return cls(
-            energy_per_mac_pj=mac.energy_per_mac_pj(tech),
-            area_um2=mac.area_um2(tech),
-            delay_ns=mac.delay_ns(tech),
-            leakage_w=mac.leakage_w(tech),
-        )
-
-
-@dataclass(frozen=True)
-class BlockScalars:
-    """Flattened rollup of one point-independent block's estimate."""
-
-    area_mm2: float
-    dynamic_w: float
-    leakage_w: float
-    cycle_time_ns: float
-
-    @classmethod
-    def from_estimate(cls, est: Estimate) -> "BlockScalars":
-        return cls(
-            area_mm2=est.area_mm2,
-            dynamic_w=est.dynamic_w,
-            leakage_w=est.leakage_w,
-            cycle_time_ns=est.cycle_time_ns,
-        )
-
-
-@dataclass(frozen=True)
 class TechSubstrate:
-    """Everything the batch kernels need that does not vary per point."""
+    """One preset family at one context: the template the grid varies.
+
+    Attributes:
+        ctx: The model context every point shares.
+        family: The preset family (``"datacenter"`` or ``"training"``).
+        template: The family's smallest preset chip; every field except the
+            point-dependent ones is shared by the whole grid.
+    """
 
     ctx: ModelContext
-    tech: TechNode
-    freq_ghz: float
-    cycle_ns: float
-    #: the preset family this substrate models.
     family: str
-    #: systolic-cell MAC scalars (int8 for datacenter, bf16/fp32 training).
-    mac_tensor: MacScalars
-    #: vector-lane MAC scalars (the VU's ``MacModel(dtype, dtype)``).
-    mac_vector: MacScalars
-    wire_local: WireParams
-    wire_intermediate: WireParams
-    wire_global: WireParams
-    #: name -> rollup for IFU / scalar unit / MC / PCIe / ICI / DMA.
-    fixed_blocks: Dict[str, BlockScalars]
-    #: the probe chip's configuration; kernels read the point-independent
-    #: knobs (cell dtype/control gates, FIFO depth, NoC bisection, ...) from
-    #: here so preset changes flow into the vector path automatically.
-    template_config: ChipConfig
-    #: the VU configuration (dtype / SFU gates / pipeline depth; the lane
-    #: count is re-derived per point from the lane rule below).
-    template_vu_config: VectorUnitConfig
-    template_in_bits: int
-    template_lsu_queue_entries: int
-    template_mem_pool_bytes: int
-    template_mem_slice_floor_bytes: int
-    template_mem_block_mult: int
-    template_mem_block_floor: int
-    template_lane_mult: int
-    template_lane_floor: int
-    template_mem_latency_cycles: int
-    template_noc_bisection_gbps: float
-    template_offchip_gbps: float
-    template_whitespace_fraction: float
-    #: memory-controller traffic coefficients (the runtime power model).
-    mc_energy_per_byte_pj: float
-    mc_device_power_w: float
-
-    @property
-    def chip_fixed_blocks(self) -> Tuple[BlockScalars, ...]:
-        """Chip-level fixed blocks in `Chip.estimate` child order."""
-        return tuple(
-            self.fixed_blocks[name]
-            for name in _CHIP_FIXED_NAMES
-            if name in self.fixed_blocks
-        )
+    template: Chip
 
     @classmethod
     def build(
         cls, ctx: ModelContext, family: str = DEFAULT_FAMILY
     ) -> "TechSubstrate":
-        """Hoist scalars and fixed-block estimates for ``(ctx, family)``.
-
-        The probe chip is the smallest template of the family; the blocks
-        harvested from it (IFU, scalar unit, memory controller, PCIe, ICI,
-        DMA) are configured identically at every point of the family's
-        grid, which is exactly what the vector-path support check
-        guarantees.
-        """
+        """The substrate for ``(ctx, family)``."""
         builder = FAMILY_BUILDERS.get(family)
-        rules = _FAMILY_RULES.get(family)
-        if builder is None or rules is None:
+        if builder is None or family not in _FAMILY_RULES:
             raise ConfigurationError(
                 f"unknown vector-backend preset family {family!r}; "
                 f"expected one of {sorted(FAMILY_BUILDERS)}"
             )
-        template = builder(4, 1, 1, 1)
-        tech = ctx.tech
-        cell = template.config.core.tu.cell
-        mac_tensor = MacScalars.from_model(cell.mac, tech)
-        vu_config = template.core.vector_unit.config
-        mac_vector = MacScalars.from_model(
-            MacModel(vu_config.dtype, vu_config.dtype), tech
+        return cls(ctx=ctx, family=family, template=builder(4, 1, 1, 1))
+
+    def chip(self, x, n, tx, ty) -> Chip:
+        """The family's chip with array-valued ``(X, N, T_x, T_y)``.
+
+        The TU length, TU count and core grid are the point arrays; the VU
+        lanes and the Mem slice follow the family's scaling rules.  The
+        result is one :class:`~repro.arch.chip.Chip` whose models,
+        evaluated under :func:`repro.arch.component.array_evaluation`,
+        estimate every point at once.
+        """
+        rules = _FAMILY_RULES[self.family]
+        x, n, tx, ty = (
+            np.asarray(value, dtype=np.float64) for value in (x, n, tx, ty)
         )
-        core = template.core
-        fixed = {
-            "ifu": BlockScalars.from_estimate(core.ifu.estimate(ctx)),
-            "scalar_unit": BlockScalars.from_estimate(
-                core.scalar_unit.estimate(ctx)
+        config = self.template.config
+        core = config.core
+        vu = core.vu
+        if vu is not None:
+            vu = replace(
+                vu,
+                lanes=np.maximum(rules["lane_mult"] * x, rules["lane_floor"]),
+            )
+        mem = replace(
+            core.mem,
+            capacity_bytes=np.maximum(
+                np.floor_divide(rules["mem_pool_bytes"], tx * ty),
+                rules["mem_floor_bytes"],
             ),
-        }
-        mc = template.memory_controller()
-        mc_energy_per_byte_pj = 0.0
-        mc_device_power_w = 0.0
-        if mc is not None:
-            fixed["memory_controller"] = BlockScalars.from_estimate(
-                mc.estimate(ctx)
-            )
-            mc_energy_per_byte_pj = mc.energy_per_byte_pj()
-            mc_device_power_w = mc.device_power_w()
-        if template.config.pcie is not None:
-            fixed["pcie"] = BlockScalars.from_estimate(
-                template.config.pcie.estimate(ctx)
-            )
-        if template.config.ici is not None:
-            fixed["ici"] = BlockScalars.from_estimate(
-                template.config.ici.estimate(ctx)
-            )
-        if template.config.dma is not None:
-            fixed["dma"] = BlockScalars.from_estimate(
-                template.config.dma.estimate(ctx)
-            )
-        return cls(
-            ctx=ctx,
-            tech=tech,
-            freq_ghz=ctx.freq_ghz,
-            cycle_ns=ctx.cycle_ns,
-            family=family,
-            mac_tensor=mac_tensor,
-            mac_vector=mac_vector,
-            wire_local=wire_params(tech, WireType.LOCAL),
-            wire_intermediate=wire_params(tech, WireType.INTERMEDIATE),
-            wire_global=wire_params(tech, WireType.GLOBAL),
-            fixed_blocks=fixed,
-            template_config=template.config,
-            template_vu_config=vu_config,
-            template_in_bits=cell.input_dtype.bits,
-            template_lsu_queue_entries=core.lsu.queue_entries,
-            template_mem_pool_bytes=rules["mem_pool_bytes"],
-            template_mem_slice_floor_bytes=rules["mem_floor_bytes"],
-            template_mem_block_mult=rules["block_mult"],
-            template_mem_block_floor=rules["block_floor"],
-            template_lane_mult=rules["lane_mult"],
-            template_lane_floor=rules["lane_floor"],
-            template_mem_latency_cycles=template.config.core.mem.latency_cycles,
-            template_noc_bisection_gbps=template.config.noc_bisection_gbps,
-            template_offchip_gbps=template.config.offchip_bandwidth_gbps,
-            template_whitespace_fraction=template.config.whitespace_fraction,
-            mc_energy_per_byte_pj=mc_energy_per_byte_pj,
-            mc_device_power_w=mc_device_power_w,
+            block_bytes=np.maximum(
+                rules["block_mult"] * x, rules["block_floor"]
+            ),
         )
+        core = replace(
+            core,
+            tu=replace(core.tu, rows=x, cols=x),
+            tensor_units=n,
+            vu=vu,
+            mem=mem,
+        )
+        return Chip(replace(config, core=core, cores_x=tx, cores_y=ty))
 
-
-#: Chip-level fixed-block order, mirroring `Chip.estimate` (the ICI entry
-#: exists only for families whose template configures one, so the float
-#: accumulation order matches the scalar walk for both cases).
-_CHIP_FIXED_NAMES: Tuple[str, ...] = (
-    "memory_controller",
-    "pcie",
-    "ici",
-    "dma",
-)
 
 _SUBSTRATES: Dict[Tuple[ModelContext, str], TechSubstrate] = {}
 

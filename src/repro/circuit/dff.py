@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.tech.node import TechNode
-from repro.units import fj_to_pj, nw_to_w, ps_to_ns, um2_to_mm2
+from repro.units import any_point, fj_to_pj, nw_to_w, ps_to_ns, um2_to_mm2
 
 #: Fraction of DFF energy drawn by the clock pins (the rest is data path).
 CLOCK_ENERGY_FRACTION = 0.4
@@ -43,7 +41,7 @@ class DffBank:
     clock_gated: bool = True
 
     def __post_init__(self) -> None:
-        if np.any(self.bits < 0):
+        if any_point(self.bits < 0):
             raise ConfigurationError(
                 f"negative bit count in DFF bank {self.name!r}"
             )

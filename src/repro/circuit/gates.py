@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.tech.node import TechNode
-from repro.units import fj_to_pj, nw_to_w, ps_to_ns, um2_to_mm2
+from repro.units import any_point, fj_to_pj, nw_to_w, ps_to_ns, um2_to_mm2
 
 #: Area margin for intra-block routing on top of raw cell area.
 ROUTING_OVERHEAD = 1.25
@@ -44,7 +44,7 @@ class LogicBlock:
     logic_depth: int = 12
 
     def __post_init__(self) -> None:
-        if np.any(self.gate_count < 0):
+        if any_point(self.gate_count < 0):
             raise ConfigurationError(
                 f"negative gate count in block {self.name!r}"
             )
@@ -119,7 +119,7 @@ def decoder_gate_count(address_bits):
     plus the predecoder, the standard CACTI first-order count.  Broadcasts
     over arrays of widths; a scalar width gives an ``int``.
     """
-    if np.any(address_bits < 0):
+    if any_point(address_bits < 0):
         raise ConfigurationError(f"negative address width: {address_bits}")
     gates = np.where(
         address_bits == 0, 1, 4 * address_bits + 2 * 2**address_bits

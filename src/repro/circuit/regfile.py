@@ -17,7 +17,14 @@ import numpy as np
 from repro.circuit.gates import LogicBlock, address_width, decoder_gate_count
 from repro.errors import ConfigurationError
 from repro.tech.node import TechNode
-from repro.units import as_plain, fj_to_pj, nw_to_w, ps_to_ns, um2_to_mm2
+from repro.units import (
+    any_point,
+    as_plain,
+    fj_to_pj,
+    nw_to_w,
+    ps_to_ns,
+    um2_to_mm2,
+)
 
 #: A 2-port register cell is ~4x a 6T SRAM cell.
 BASE_CELL_SRAM_RATIO = 4.0
@@ -50,9 +57,9 @@ class RegisterFile:
     write_ports: int
 
     def __post_init__(self) -> None:
-        if np.any(self.entries <= 0) or np.any(self.word_bits <= 0):
+        if any_point(self.entries <= 0) or any_point(self.word_bits <= 0):
             raise ConfigurationError("register file needs entries and width")
-        if np.any(self.read_ports < 1) or np.any(self.write_ports < 1):
+        if any_point(self.read_ports < 1) or any_point(self.write_ports < 1):
             raise ConfigurationError(
                 "register file needs at least one read and one write port"
             )

@@ -39,6 +39,8 @@ from repro.tech.wire import (
 )
 from repro.units import (
     MiB,
+    any_point,
+    as_plain,
     fj_to_pj,
     mm2_to_um2,
     nw_to_w,
@@ -117,6 +119,9 @@ class SramRequirements:
             must sustain (GB/s).
         target_write_bandwidth_gbps: Aggregate write throughput (GB/s).
         freq_ghz: Clock the memory is accessed at.
+
+    Capacity, block, latency and bandwidth targets broadcast: arrays
+    describe one requirement per design point.
     """
 
     capacity_bytes: int
@@ -127,11 +132,11 @@ class SramRequirements:
     target_write_bandwidth_gbps: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
+        if any_point(self.capacity_bytes <= 0):
             raise ConfigurationError("memory capacity must be positive")
-        if self.block_bytes <= 0:
+        if any_point(self.block_bytes <= 0):
             raise ConfigurationError("memory block size must be positive")
-        if self.block_bytes * 8 > self.capacity_bytes * 8:
+        if any_point(self.block_bytes * 8 > self.capacity_bytes * 8):
             raise ConfigurationError("block size exceeds capacity")
         if self.freq_ghz <= 0:
             raise ConfigurationError("memory clock must be positive")
@@ -333,7 +338,10 @@ def sram_physics(
 class SramArray:
     """A concrete multi-bank, multi-port SRAM organization.
 
-    The model methods are views over :func:`sram_physics`.
+    The model methods are views over :func:`sram_physics`.  Every field
+    broadcasts: arrays describe one organization per design point (NaN
+    organization fields mark points where :func:`optimize_sram` found no
+    feasible organization).
 
     Attributes:
         capacity_bytes: Logical capacity of the whole array.
@@ -352,13 +360,13 @@ class SramArray:
     subarray_rows: int = 256
 
     def __post_init__(self) -> None:
-        if self.banks < 1:
+        if any_point(self.banks < 1):
             raise ConfigurationError("bank count must be >= 1")
-        if self.read_ports < 1 or self.write_ports < 0:
+        if any_point(self.read_ports < 1) or any_point(self.write_ports < 0):
             raise ConfigurationError("need >= 1 read port and >= 0 write ports")
-        if self.subarray_rows < 8:
+        if any_point(self.subarray_rows < 8):
             raise ConfigurationError("subarray needs at least 8 rows")
-        if self.capacity_bytes < self.banks * self.block_bytes:
+        if any_point(self.capacity_bytes < self.banks * self.block_bytes):
             raise ConfigurationError(
                 "capacity too small for the requested banking"
             )
@@ -372,18 +380,19 @@ class SramArray:
     @property
     def subarray_cols(self) -> int:
         """Bit lines per subarray (wide blocks split across subarrays)."""
-        return int(_subarray_cols(self.block_bytes))
+        return as_plain(_subarray_cols(self.block_bytes))
 
     @property
     def activated_subarrays(self) -> int:
         """Subarrays accessed in parallel to deliver one block."""
-        return int(_activated_subarrays(self.block_bytes))
+        count = _activated_subarrays(self.block_bytes)
+        return int(count) if np.ndim(count) == 0 else count
 
     def physics(self, tech: TechNode) -> SramPhysics:
-        """This organization's physics at ``tech``, as plain floats."""
+        """This organization's physics at ``tech`` (plain floats for one)."""
         return SramPhysics(
             *(
-                float(value)
+                as_plain(value)
                 for value in sram_physics(
                     tech,
                     self.capacity_bytes,
@@ -428,14 +437,14 @@ class SramArray:
         read, _ = _bytes_per_cycle(
             self.banks, self.read_ports, self.write_ports, self.block_bytes
         )
-        return float(read * freq_ghz)
+        return as_plain(read * freq_ghz)
 
     def write_bandwidth_gbps(self, freq_ghz: float) -> float:
         """Peak aggregate write bandwidth (GB/s) at ``freq_ghz``."""
         _, write = _bytes_per_cycle(
             self.banks, self.read_ports, self.write_ports, self.block_bytes
         )
-        return float(write * freq_ghz)
+        return as_plain(write * freq_ghz)
 
 
 class SramSearch(NamedTuple):
@@ -532,7 +541,9 @@ def optimize_sram(requirements: SramRequirements, tech: TechNode) -> SramArray:
 
     Mirrors NeuroMeter's internal optimizer (see
     :func:`search_organizations`).  Raises :class:`OptimizationError` when
-    no candidate is feasible (e.g. an unreachable latency target).
+    no candidate is feasible (e.g. an unreachable latency target).  For
+    array-valued requirements it returns one array-valued organization
+    instead, whose fields are NaN at the infeasible points.
     """
     found = search_organizations(
         tech,
@@ -543,6 +554,10 @@ def optimize_sram(requirements: SramRequirements, tech: TechNode) -> SramArray:
         requirements.target_read_bandwidth_gbps,
         requirements.target_write_bandwidth_gbps,
     )
+    if np.ndim(found.feasible) > 0:
+        return SramArray(
+            requirements.capacity_bytes, requirements.block_bytes, *found[1:]
+        )
     if not found.feasible:
         raise OptimizationError(
             f"no SRAM organization meets latency "

@@ -199,7 +199,15 @@ async def start_http_server(
     """Bind and start serving; returns the listening server object."""
 
     async def _on_connection(reader, writer):
-        await serve_connection(handler, reader, writer)
+        try:
+            await serve_connection(handler, reader, writer)
+        except asyncio.CancelledError:  # lint: allow(NM205): top of the connection task; nothing awaits it, so ending it normally stops nothing
+            # A forced teardown cancels handlers still in flight, after
+            # serve_connection has closed the socket.  The stream
+            # protocol's done-callback calls task.exception(), which
+            # raises on a cancelled task and prints a traceback, so the
+            # task ends normally instead.
+            return
 
     return await asyncio.start_server(
         _on_connection, host, port, limit=MAX_HEADER_BYTES + MAX_BODY_BYTES

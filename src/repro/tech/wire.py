@@ -24,7 +24,14 @@ import numpy as np
 
 from repro.errors import ConfigurationError, TechnologyError
 from repro.tech.node import TechNode
-from repro.units import OHM_FF_TO_NS, as_plain, fj_to_pj, nm_to_um, ps_to_ns
+from repro.units import (
+    OHM_FF_TO_NS,
+    any_point,
+    as_plain,
+    fj_to_pj,
+    nm_to_um,
+    ps_to_ns,
+)
 
 
 class WireType(enum.Enum):
@@ -170,7 +177,7 @@ def wire_energy_pj_per_bit(
 
 
 def _check_length(length_mm) -> None:
-    if np.any(length_mm < 0):
+    if any_point(length_mm < 0):
         raise ConfigurationError(
             f"wire length must be non-negative, got {length_mm}"
         )
@@ -190,4 +197,5 @@ def wire_pipeline_stages(
             f"cycle time must be positive, got {cycle_time_ns}"
         )
     delay = repeated_wire_delay_ns(tech, wire, length_mm)
-    return max(1, math.ceil(delay / cycle_time_ns))
+    stages = np.maximum(1, np.ceil(delay / cycle_time_ns))
+    return int(stages) if np.ndim(stages) == 0 else stages

@@ -27,6 +27,8 @@ operations, matching the paper (a 256x256 systolic array at 700 MHz is
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 # -- scale prefixes ----------------------------------------------------------
@@ -139,10 +141,21 @@ def tops(macs_per_cycle: float, freq_ghz: float) -> float:
 
 
 def as_plain(value):
-    """A 0-d result as a plain ``float``; arrays pass through unchanged.
+    """A 0-d result as a plain Python scalar; arrays pass through unchanged.
 
-    The circuit and wire closed forms broadcast over NumPy arrays so the
-    batch backend can call them; scalar callers still get ``float``
-    (journals and cache keys ``repr`` these values).
+    The model closed forms broadcast over NumPy arrays so the batch backend
+    can call them; scalar callers still get ``float`` (or ``int`` for an
+    integer count), because journals and cache keys ``repr`` these values.
     """
-    return float(value) if getattr(value, "ndim", 0) == 0 else value
+    return value.item() if getattr(value, "ndim", None) == 0 else value
+
+
+def any_point(condition) -> bool:
+    """True where ``condition`` holds for any design point.
+
+    ``np.any`` for the broadcasting closed forms' validation, without its
+    overhead on the plain ``bool`` a one-point comparison gives.
+    """
+    if condition.__class__ is bool:
+        return condition
+    return bool(np.any(condition))

@@ -20,7 +20,7 @@ from repro.dse.engine import (
     classify_stage,
     run_sweep,
 )
-from repro.dse.guardrails import validate_result
+from repro.integrity import validate_result
 from repro.dse.journal import (
     Journal,
     JournalEntry,

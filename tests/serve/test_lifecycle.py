@@ -244,6 +244,42 @@ def test_second_signal_skips_the_grace_window(daemon_factory, tmp_path):
     assert daemon.wait(timeout_s=60.0) == 0
 
 
+def test_forced_teardown_prints_no_callback_tracebacks(daemon_factory):
+    """A cancelled connection handler must not end its task cancelled.
+
+    The second signal lands 20 ms after the first, while a ``/sweep`` is
+    still in flight, so the loop teardown cancels its handler.
+    """
+    daemon = daemon_factory("--drain-grace-s", "600")
+    client = daemon.client(timeout_s=300.0)
+    client.wait_healthy(timeout_s=30.0)
+    points = [[4 * (i + 1), 1, 2, 2] for i in range(64)]
+
+    def parked_sweep():
+        try:
+            client.request(
+                "POST", "/sweep", {"points": points, "deadline_s": 600}
+            )
+        except Exception:
+            # The forced teardown severs this request's connection.
+            return
+
+    thread = threading.Thread(target=parked_sweep, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        if client.status()["admission"]["inflight"] > 0:
+            break
+        time.sleep(0.02)
+    daemon.proc.send_signal(signal.SIGTERM)
+    time.sleep(0.02)
+    daemon.proc.send_signal(signal.SIGTERM)
+    assert daemon.wait(timeout_s=60.0) == 0
+    stderr = "\n".join(daemon.stderr_lines)
+    assert "Exception in callback" not in stderr, stderr
+    assert "Traceback" not in stderr, stderr
+
+
 def test_sighup_reloads_live_safe_config(daemon_factory, tmp_path):
     """kill -HUP swaps deadlines/admission bounds without a restart.
 
